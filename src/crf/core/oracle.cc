@@ -6,17 +6,45 @@
 
 namespace crf {
 
-void ComputePeakOracleInto(const CellTrace& cell, int machine_index, Interval horizon,
-                           OracleScratch& scratch, std::vector<double>& out) {
+namespace {
+
+// End of the aggregate span the oracle for ticks [begin, end) reads: the
+// last tick's window [end - 1, end - 1 + horizon), clipped to the trace. In
+// 64 bits so a horizon near INT32_MAX cannot overflow.
+Interval AggregateEnd(Interval num_intervals, Interval end, Interval horizon) {
+  return static_cast<Interval>(std::min<int64_t>(
+      static_cast<int64_t>(end) - 1 + horizon, num_intervals));
+}
+
+void CheckRange(const CellTrace& cell, int machine_index, Interval horizon, Interval begin,
+                Interval end) {
   CRF_CHECK_GE(machine_index, 0);
   CRF_CHECK_LT(machine_index, cell.num_machines());
   CRF_CHECK_GE(horizon, 1);
+  CRF_CHECK_GE(begin, 0);
+  CRF_CHECK_LE(begin, end);
+  CRF_CHECK_LE(end, cell.num_intervals);
+}
+
+}  // namespace
+
+void ComputePeakOracleRangeInto(const CellTrace& cell, int machine_index, Interval horizon,
+                                Interval begin, Interval end, OracleScratch& scratch,
+                                std::vector<double>& out) {
+  CheckRange(cell, machine_index, horizon, begin, end);
+  out.assign(end - begin, 0.0);
+  if (begin == end) {
+    return;
+  }
   const Interval num_intervals = cell.num_intervals;
+  const Interval aggregate_end = AggregateEnd(num_intervals, end, horizon);
   const std::span<const Interval> starts = cell.task_starts();
 
   // Tasks ordered by arrival; the aggregate series of "tasks with start <=
   // tau" is constant between consecutive arrivals, so one sliding-window max
-  // per segment gives the exact oracle.
+  // per segment gives the exact oracle. Every range sorts the machine's whole
+  // task list the same way, so each aggregate cell receives the same additions
+  // in the same order as in the full series: any slice is bit-identical.
   std::vector<int32_t>& order = scratch.order;
   const std::span<const int32_t> task_indices = cell.machine_tasks(machine_index);
   order.assign(task_indices.begin(), task_indices.end());
@@ -24,24 +52,25 @@ void ComputePeakOracleInto(const CellTrace& cell, int machine_index, Interval ho
     return starts[a] < starts[b];
   });
 
+  // aggregate[t - begin] covers tick t in [begin, aggregate_end).
   std::vector<double>& aggregate = scratch.aggregate;
-  aggregate.assign(num_intervals, 0.0);
-  out.assign(num_intervals, 0.0);
+  aggregate.assign(aggregate_end - begin, 0.0);
   size_t next = 0;
-  Interval tau = 0;
-  while (tau < num_intervals) {
+  Interval tau = begin;
+  while (tau < end) {
     // Admit every task arriving at or before tau into the aggregate.
     while (next < order.size() && starts[order[next]] <= tau) {
       const TaskView task = cell.task(order[next]);
       const std::span<const float> usage = task.usage();
-      const Interval end = std::min(task.end(), num_intervals);
-      for (Interval t = task.start(); t < end; ++t) {
-        aggregate[t] += usage[t - task.start()];
+      const Interval from = std::max(task.start(), begin);
+      const Interval to = std::min(task.end(), aggregate_end);
+      for (Interval t = from; t < to; ++t) {
+        aggregate[t - begin] += usage[t - task.start()];
       }
       ++next;
     }
     const Interval segment_end =
-        next < order.size() ? std::min(starts[order[next]], num_intervals) : num_intervals;
+        next < order.size() ? std::min(starts[order[next]], end) : end;
     CRF_CHECK_GT(segment_end, tau);
 
     // Sliding max of `aggregate` over [u, u+horizon) for u in the segment.
@@ -53,14 +82,20 @@ void ComputePeakOracleInto(const CellTrace& cell, int machine_index, Interval ho
           static_cast<Interval>(std::min<int64_t>(static_cast<int64_t>(u) + horizon,
                                                   num_intervals));
       while (filled_to < window_end) {
-        deque.Push(filled_to, aggregate[filled_to]);
+        deque.Push(filled_to, aggregate[filled_to - begin]);
         ++filled_to;
       }
       deque.ExpireBelow(u);
-      out[u] = deque.Max();
+      out[u - begin] = deque.Max();
     }
     tau = segment_end;
   }
+}
+
+void ComputePeakOracleInto(const CellTrace& cell, int machine_index, Interval horizon,
+                           OracleScratch& scratch, std::vector<double>& out) {
+  ComputePeakOracleRangeInto(cell, machine_index, horizon, 0, cell.num_intervals, scratch,
+                             out);
 }
 
 std::vector<double> ComputePeakOracle(const CellTrace& cell, int machine_index,
@@ -71,26 +106,40 @@ std::vector<double> ComputePeakOracle(const CellTrace& cell, int machine_index,
   return oracle;
 }
 
-void ComputeTotalUsageOracleInto(const CellTrace& cell, int machine_index,
-                                 Interval horizon, OracleScratch& scratch,
-                                 std::vector<double>& out) {
-  CRF_CHECK_GE(machine_index, 0);
-  CRF_CHECK_LT(machine_index, cell.num_machines());
-  CRF_CHECK_GE(horizon, 1);
-  const Interval num_intervals = cell.num_intervals;
+void ComputeTotalUsageOracleRangeInto(const CellTrace& cell, int machine_index,
+                                      Interval horizon, Interval begin, Interval end,
+                                      OracleScratch& scratch, std::vector<double>& out) {
+  CheckRange(cell, machine_index, horizon, begin, end);
+  if (begin == end) {
+    out.clear();
+    return;
+  }
+  const Interval aggregate_end = AggregateEnd(cell.num_intervals, end, horizon);
 
-  // The machine's aggregate usage series including future arrivals.
+  // The machine's aggregate usage over [begin, aggregate_end), including
+  // future arrivals, summed in the machine's task order like the full series.
   std::vector<double>& usage = scratch.aggregate;
-  usage.assign(num_intervals, 0.0);
+  usage.assign(aggregate_end - begin, 0.0);
   for (const int32_t index : cell.machine_tasks(machine_index)) {
     const TaskView task = cell.task(index);
     const std::span<const float> task_usage = task.usage();
-    const Interval end = std::min(task.end(), num_intervals);
-    for (Interval t = task.start(); t < end; ++t) {
-      usage[t] += task_usage[t - task.start()];
+    const Interval from = std::max(task.start(), begin);
+    const Interval to = std::min(task.end(), aggregate_end);
+    for (Interval t = from; t < to; ++t) {
+      usage[t - begin] += task_usage[t - task.start()];
     }
   }
+  // Windows starting in [begin, end) end by aggregate_end, so the span's
+  // clipped windows are exactly the trace's; the tail past `end` is dropped.
   ForwardWindowMaxInto(usage, horizon, scratch.deque, out);
+  out.resize(end - begin);
+}
+
+void ComputeTotalUsageOracleInto(const CellTrace& cell, int machine_index,
+                                 Interval horizon, OracleScratch& scratch,
+                                 std::vector<double>& out) {
+  ComputeTotalUsageOracleRangeInto(cell, machine_index, horizon, 0, cell.num_intervals,
+                                   scratch, out);
 }
 
 std::vector<double> ComputeTotalUsageOracle(const CellTrace& cell, int machine_index,

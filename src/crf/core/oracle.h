@@ -46,13 +46,29 @@ struct OracleScratch {
   MonotonicMaxDeque deque;
 };
 
-// Exact arrival-filtered oracle series for one machine, O(T + N*(H + len))
-// via a monotonic-deque sliding maximum per constant-task-set segment.
-// The Into variant writes into `out` reusing its capacity.
+// Exact arrival-filtered oracle for one machine's ticks [begin, end):
+// out[i] = PO at tick begin + i, bit-identical to the same slice of the full
+// series. Reads the aggregate over [begin, min(T, end - 1 + horizon)) only,
+// so its cost follows the range length, the horizon and the machine's task
+// count, not the trace length: the streaming replayer's per-machine chunk.
+void ComputePeakOracleRangeInto(const CellTrace& cell, int machine_index, Interval horizon,
+                                Interval begin, Interval end, OracleScratch& scratch,
+                                std::vector<double>& out);
+
+// Exact arrival-filtered oracle series for one machine (the [0, T) range),
+// O(T + N*(H + len)) via a monotonic-deque sliding maximum per
+// constant-task-set segment. The Into variant writes into `out` reusing its
+// capacity.
 void ComputePeakOracleInto(const CellTrace& cell, int machine_index, Interval horizon,
                            OracleScratch& scratch, std::vector<double>& out);
 std::vector<double> ComputePeakOracle(const CellTrace& cell, int machine_index,
                                       Interval horizon = kIntervalsPerDay);
+
+// Unfiltered ablation over ticks [begin, end), bit-identical to the same
+// slice of ComputeTotalUsageOracleInto.
+void ComputeTotalUsageOracleRangeInto(const CellTrace& cell, int machine_index,
+                                      Interval horizon, Interval begin, Interval end,
+                                      OracleScratch& scratch, std::vector<double>& out);
 
 // Unfiltered ablation: forward sliding max of the machine's total usage.
 void ComputeTotalUsageOracleInto(const CellTrace& cell, int machine_index,

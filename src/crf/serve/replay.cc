@@ -16,7 +16,8 @@ StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
     : log_(cell),
       options_(options),
       service_(spec, cell.num_machines()),
-      metrics_(options.num_shards) {
+      metrics_(options.num_shards),
+      oracle_chunk_(std::max(options.horizon, kIntervalsPerDay)) {
   CRF_CHECK_GT(cell.num_intervals, 0);
   CRF_CHECK_GT(options_.num_shards, 0);
 
@@ -41,18 +42,29 @@ StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
   }
 }
 
-void StreamReplayer::EnsureOracle(ShardState& shard, int machine) {
-  if (shard.oracle_machine == machine) {
-    return;
+double StreamReplayer::OracleAt(ShardState& shard, ShardMetrics& shard_metrics, int machine,
+                                Interval tau) {
+  MachineAccum& accum = accums_[machine];
+  const Interval num_intervals = log_.num_intervals();
+  // Ticks only move forward (IngestTick checks), so a miss is always past the chunk.
+  if (tau - accum.oracle_begin >= static_cast<Interval>(accum.oracle.size())) {
+    const Interval end = static_cast<Interval>(
+        std::min<int64_t>(static_cast<int64_t>(tau) + oracle_chunk_, num_intervals));
+    if (options_.use_total_usage_oracle) {
+      ComputeTotalUsageOracleRangeInto(log_.cell(), machine, options_.horizon, tau, end,
+                                       shard.oracle_scratch, accum.oracle);
+    } else {
+      ComputePeakOracleRangeInto(log_.cell(), machine, options_.horizon, tau, end,
+                                 shard.oracle_scratch, accum.oracle);
+    }
+    accum.oracle_begin = tau;
+    ++shard_metrics.oracle_chunks;
   }
-  if (options_.use_total_usage_oracle) {
-    ComputeTotalUsageOracleInto(log_.cell(), machine, options_.horizon, shard.oracle_scratch,
-                                shard.oracle);
-  } else {
-    ComputePeakOracleInto(log_.cell(), machine, options_.horizon, shard.oracle_scratch,
-                          shard.oracle);
+  const double value = accum.oracle[tau - accum.oracle_begin];
+  if (tau + 1 == num_intervals) {
+    std::vector<double>().swap(accum.oracle);
   }
-  shard.oracle_machine = machine;
+  return value;
 }
 
 double StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
@@ -75,7 +87,7 @@ double StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics,
     prediction = service_.IngestTick(machine, tau, events);
   }
 
-  const double oracle_value = shard.oracle[tau];
+  const double oracle_value = OracleAt(shard, shard_metrics, machine, tau);
   const double limit_sum = service_.LimitSum(machine);
   const bool occupied = !service_.Roster(machine).empty();
   accums_[machine].risk.Record(prediction, oracle_value, limit_sum, occupied);
@@ -99,7 +111,6 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
   int drop_from = shard.begin_machine;
 
   for (int m = shard.begin_machine; m < shard.end_machine; ++m) {
-    EnsureOracle(shard, m);
     EventLog::MachineCursor& cursor = cursors_[m];
 
     for (Interval tau = from; tau < until; ++tau) {
@@ -151,9 +162,7 @@ double StreamReplayer::PushMachineTick(int machine, Interval tau,
   CRF_CHECK_GE(tau, next_tick_);
   CRF_CHECK_LT(tau, log_.num_intervals());
   const int s = shard_of(machine);
-  ShardState& shard = shards_[s];
-  EnsureOracle(shard, machine);
-  return ApplyTick(shard, metrics_.shard(s), machine, tau, events);
+  return ApplyTick(shards_[s], metrics_.shard(s), machine, tau, events);
 }
 
 bool StreamReplayer::CommitPushedWindow(Interval until) {

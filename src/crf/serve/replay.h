@@ -108,9 +108,9 @@ class StreamReplayer {
   // structure exactly: within a shard, machines are driven one at a time in
   // ascending order, each machine's ticks in ascending order over the same
   // window [next_tick, until); the window is then committed for all shards
-  // at once. The per-shard oracle scratch is cached per machine, so the
-  // caller must fully finish a machine before starting the next (the server
-  // enforces this protocol on the wire).
+  // at once. A shard sums its machines' ticks into its partial cell series
+  // in machine order, so the caller must fully finish a machine before
+  // starting the next (the server enforces this protocol on the wire).
   //
   // Concurrency contract: PushMachineTick calls for machines in DISTINCT
   // shards may run concurrently; calls within one shard must be serialized
@@ -153,8 +153,17 @@ class StreamReplayer {
   // accumulator is written every tick by the shard that owns it, and without
   // padding the two machines straddling a shard boundary would ping-pong one
   // line between two threads all run.
+  //
+  // The accumulator also holds the machine's scoring oracle as one chunk of
+  // ticks [oracle_begin, oracle_begin + oracle.size()): ApplyTick computes
+  // the chunk [tau, min(T, tau + oracle_chunk_)) when tau falls outside it
+  // and releases it after the machine's last tick. Chunk values are
+  // bit-identical slices of the full series, so the chunk is derived state:
+  // never checkpointed, recomputed from the resume tick after a restore.
   struct alignas(64) MachineAccum {
     RiskAccumulator risk;
+    std::vector<double> oracle;
+    Interval oracle_begin = 0;
   };
 
   // Everything a shard touches per tick is owned by the shard: its partial
@@ -171,16 +180,12 @@ class StreamReplayer {
     // Reused scratch: the per-tick event batch and oracle computation.
     std::vector<StreamEvent> events;
     OracleScratch oracle_scratch;
-    std::vector<double> oracle;
-    // Machine the oracle scratch currently holds (-1: none). Lets push-mode
-    // ingest reuse the oracle across a machine's successive batches.
-    int oracle_machine = -1;
   };
 
   void AdvanceShard(int shard_index, Interval from, Interval until);
-  // Computes the scoring oracle for `machine` into `shard.oracle` (cached by
-  // shard.oracle_machine).
-  void EnsureOracle(ShardState& shard, int machine);
+  // The scoring oracle of `machine` at `tau`, from the machine's chunk
+  // (computed into it on a miss, released after the last tick).
+  double OracleAt(ShardState& shard, ShardMetrics& shard_metrics, int machine, Interval tau);
   // The shared per-tick body of Advance and push-mode ingest: metrics,
   // latency-sampled IngestTick, risk recording, cell series accumulation.
   double ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
@@ -196,6 +201,8 @@ class StreamReplayer {
   Interval next_tick_ = 0;
   // Machines per shard block (shard_of's divisor; >= 1).
   int machine_block_ = 1;
+  // Ticks per oracle chunk: max(horizon, one day).
+  Interval oracle_chunk_ = kIntervalsPerDay;
 };
 
 }  // namespace crf

@@ -11,6 +11,7 @@ void ShardMetrics::MergeFrom(const ShardMetrics& other) {
   sequence += other.sequence;
   ticks += other.ticks;
   max_batch_events = std::max(max_batch_events, other.max_batch_events);
+  oracle_chunks += other.oracle_chunks;
   predict_latency_log2_ns.Merge(other.predict_latency_log2_ns);
 }
 
@@ -85,10 +86,11 @@ std::string ServeMetrics::ToJson() const {
     const ShardMetrics& shard = shards_[s];
     std::snprintf(buffer, sizeof(buffer),
                   "%s\n    {\"shard\": %d, \"sequence\": %llu, \"ticks\": %llu, "
-                  "\"max_batch_events\": %lld}",
+                  "\"max_batch_events\": %lld, \"oracle_chunks\": %llu}",
                   s == 0 ? "" : ",", s, static_cast<unsigned long long>(shard.sequence),
                   static_cast<unsigned long long>(shard.ticks),
-                  static_cast<long long>(shard.max_batch_events));
+                  static_cast<long long>(shard.max_batch_events),
+                  static_cast<unsigned long long>(shard.oracle_chunks));
     out += buffer;
   }
   out += "\n  ]";

@@ -36,6 +36,10 @@ struct alignas(64) ShardMetrics {
   uint64_t ticks = 0;
   // Largest single-tick event batch seen (replay queue-depth analogue).
   int64_t max_batch_events = 0;
+  // Per-machine scoring-oracle chunks computed (observational, like the
+  // latency histogram: not checkpointed, so a restored replayer counts from
+  // its resume tick).
+  uint64_t oracle_chunks = 0;
   // Sampled predict latency, log2(nanoseconds) buckets.
   BucketedStats predict_latency_log2_ns{0.0, 1.0, 40};
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "crf/stats/window_max.h"
@@ -140,6 +142,96 @@ INSTANTIATE_TEST_SUITE_P(RandomTraces, OraclePropertyTest,
                                            OracleCase{3, 10}, OracleCase{4, 24},
                                            OracleCase{5, 60}, OracleCase{6, 7},
                                            OracleCase{7, 13}, OracleCase{8, 30}));
+
+// A one-machine cell of random tasks: staggered arrivals, single-interval
+// tasks, and tasks that outlive the trace.
+CellTrace RandomOneMachineCell(Rng& rng, Interval num_intervals) {
+  std::vector<TaskSpec> tasks;
+  const int num_tasks = 3 + static_cast<int>(rng.UniformInt(12));
+  for (int i = 0; i < num_tasks; ++i) {
+    const Interval start = static_cast<Interval>(rng.UniformInt(num_intervals));
+    const Interval len =
+        1 + static_cast<Interval>(rng.UniformInt(num_intervals - start + 4));
+    std::vector<float> usage(len);
+    for (auto& u : usage) {
+      u = static_cast<float>(rng.UniformDouble());
+    }
+    tasks.push_back(MakeTask(i + 1, start, std::move(usage)));
+  }
+  return OneMachineCell(std::move(tasks), num_intervals);
+}
+
+// Range oracles are exact slices of the full series: the same aggregate
+// additions in the same order, then an exact max — so EXPECT_EQ on doubles.
+TEST(OracleRangeTest, RangesAreBitIdenticalSlicesOfTheFullSeries) {
+  Rng rng(80);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Interval num_intervals = 20 + static_cast<Interval>(rng.UniformInt(60));
+    const CellTrace cell = RandomOneMachineCell(rng, num_intervals);
+    const Interval horizons[] = {1, 6, 24, num_intervals, num_intervals + 4,
+                                 std::numeric_limits<Interval>::max() - 1,
+                                 std::numeric_limits<Interval>::max()};
+    for (const Interval horizon : horizons) {
+      for (const OracleKind kind : {OracleKind::kPeak, OracleKind::kTotalUsage}) {
+        const bool peak = kind == OracleKind::kPeak;
+        const std::vector<double> full = peak ? ComputePeakOracle(cell, 0, horizon)
+                                              : ComputeTotalUsageOracle(cell, 0, horizon);
+        ASSERT_EQ(full.size(), static_cast<size_t>(num_intervals));
+
+        std::vector<std::pair<Interval, Interval>> ranges = {
+            {0, num_intervals}, {0, 0}, {num_intervals, num_intervals}, {5, 5}};
+        for (int r = 0; r < 8; ++r) {
+          const Interval a = static_cast<Interval>(rng.UniformInt(num_intervals + 1));
+          const Interval b = static_cast<Interval>(rng.UniformInt(num_intervals + 1));
+          ranges.emplace_back(std::min(a, b), std::max(a, b));
+        }
+        // Reused scratch and output, as the streaming replayer reuses them.
+        OracleScratch scratch;
+        std::vector<double> out = {-1.0};
+        for (const auto& [begin, end] : ranges) {
+          SCOPED_TRACE(::testing::Message() << "trial=" << trial << " T=" << num_intervals
+                                            << " h=" << horizon << " peak=" << peak
+                                            << " range=[" << begin << "," << end << ")");
+          if (peak) {
+            ComputePeakOracleRangeInto(cell, 0, horizon, begin, end, scratch, out);
+          } else {
+            ComputeTotalUsageOracleRangeInto(cell, 0, horizon, begin, end, scratch, out);
+          }
+          ASSERT_EQ(out.size(), static_cast<size_t>(end - begin));
+          for (Interval t = begin; t < end; ++t) {
+            EXPECT_EQ(out[t - begin], full[t]) << "t=" << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Chunking a generated multi-machine cell the way the streaming replayer
+// does (consecutive chunks of max(horizon, one day) ticks) reassembles the
+// full series exactly.
+TEST(OracleRangeTest, ConsecutiveChunksReassembleTheFullSeries) {
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 4;
+  GeneratorOptions options;
+  options.num_intervals = 2 * kIntervalsPerDay + 37;
+  const CellTrace cell = GenerateCellTrace(profile, options, Rng(81));
+  OracleScratch scratch;
+  std::vector<double> chunk;
+  for (const Interval horizon : {Interval{1}, Interval{12}, kIntervalsPerDay}) {
+    const Interval length = std::max(horizon, kIntervalsPerDay);
+    for (int m = 0; m < profile.num_machines; ++m) {
+      const std::vector<double> full = ComputePeakOracle(cell, m, horizon);
+      std::vector<double> joined;
+      for (Interval begin = 0; begin < cell.num_intervals; begin += length) {
+        const Interval end = std::min(begin + length, cell.num_intervals);
+        ComputePeakOracleRangeInto(cell, m, horizon, begin, end, scratch, chunk);
+        joined.insert(joined.end(), chunk.begin(), chunk.end());
+      }
+      EXPECT_EQ(joined, full) << "h=" << horizon << " m=" << m;
+    }
+  }
+}
 
 TEST(OracleTest, TotalUsageOracleUpperBoundsFiltered) {
   CellProfile profile = SimCellProfile('a');

@@ -21,9 +21,10 @@
 namespace crf {
 namespace {
 
-CellTrace RandomCell(uint64_t seed, const std::string& name = "ckpt_cell") {
+CellTrace RandomCell(uint64_t seed, const std::string& name = "ckpt_cell",
+                     Interval min_intervals = 40) {
   Rng rng(seed);
-  const Interval num_intervals = 40 + static_cast<Interval>(rng.UniformInt(21));
+  const Interval num_intervals = min_intervals + static_cast<Interval>(rng.UniformInt(21));
   const int num_machines = 2 + static_cast<int>(rng.UniformInt(4));
   CellTraceBuilder builder(name, num_intervals, num_machines);
 
@@ -142,6 +143,49 @@ TEST_P(StreamCheckpointTest, RestoreContinuesBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StreamCheckpointTest, ::testing::Range(0, 8));
+
+// Scoring-oracle chunks are derived state, never checkpointed: a replayer
+// restored at a tick inside a chunk recomputes its chunks from the resume
+// tick, and the continuation stays bit-identical for both oracle kinds.
+TEST(StreamCheckpointOracleChunkTest, RestoreInsideAChunkContinuesBitIdentically) {
+  const CellTrace cell = RandomCell(520, "ckpt_chunk_cell", 2 * kIntervalsPerDay + 40);
+  const PredictorSpec spec = MaxSpec({NSigmaSpec(5.0, 3, 8), RcLikeSpec(99.0, 3, 8)});
+  for (const bool total_usage : {false, true}) {
+    ReplayOptions options;
+    options.num_shards = 4;
+    options.horizon = 6;
+    options.use_total_usage_oracle = total_usage;
+    const Interval oracle_chunk = kIntervalsPerDay;  // max(horizon, one day)
+
+    StreamReplayer uninterrupted(cell, spec, options);
+    uninterrupted.AdvanceToEnd();
+    const SimResult expected = uninterrupted.Finish();
+
+    for (const Interval cut : {Interval{100}, kIntervalsPerDay + 7}) {
+      SCOPED_TRACE(::testing::Message() << "total_usage=" << total_usage << " cut=" << cut);
+      ASSERT_NE(cut % oracle_chunk, 0);
+      const std::string path = TempPath("ckpt_chunk.crfckpt");
+      StreamReplayer first(cell, spec, options);
+      first.Advance(cut);
+      std::string error;
+      ASSERT_TRUE(SaveCheckpoint(first, path, &error)) << error;
+
+      auto restored = LoadCheckpoint(path, cell, options, &error);
+      ASSERT_NE(restored, nullptr) << error;
+      restored->AdvanceToEnd();
+      ExpectResultsBitIdentical(restored->Finish(), expected);
+
+      const ServeMetrics& metrics = restored->Metrics();
+      uint64_t chunks = 0;
+      for (int s = 0; s < metrics.num_shards(); ++s) {
+        chunks += metrics.shard(s).oracle_chunks;
+      }
+      const Interval remaining = cell.num_intervals - cut;
+      EXPECT_EQ(chunks, static_cast<uint64_t>(cell.num_machines()) *
+                            static_cast<uint64_t>((remaining + oracle_chunk - 1) / oracle_chunk));
+    }
+  }
+}
 
 // Builds one valid checkpoint (cut mid-run) and returns its bytes plus the
 // context needed to attempt restores against it.

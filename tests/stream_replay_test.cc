@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "crf/core/predictor_factory.h"
 #include "crf/sim/simulator.h"
+#include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
 
@@ -26,9 +29,9 @@ namespace {
 // Small adversarial cells: staggered arrivals/departures, empty machines,
 // single-interval tasks, tasks outliving the trace (same shapes as
 // simulator_differential_test).
-CellTrace RandomCell(uint64_t seed) {
+CellTrace RandomCell(uint64_t seed, Interval min_intervals = 30) {
   Rng rng(seed);
-  const Interval num_intervals = 30 + static_cast<Interval>(rng.UniformInt(31));
+  const Interval num_intervals = min_intervals + static_cast<Interval>(rng.UniformInt(31));
   const int num_machines = 1 + static_cast<int>(rng.UniformInt(6));
   CellTraceBuilder builder("stream_cell", num_intervals, num_machines);
 
@@ -107,6 +110,24 @@ void ExpectMetricsBitIdentical(const MachineMetrics& streamed, const MachineMetr
   EXPECT_EQ(streamed.tail.savings_at_risk, batch.tail.savings_at_risk);
 }
 
+// Oracle horizons to rotate through: one tick, a few ticks, and longer than
+// the trace.
+Interval HorizonForCase(int index, Interval num_intervals) {
+  return index % 3 == 0 ? 1 : (index % 3 == 1 ? 6 : num_intervals + 4);
+}
+
+// Long enough for more than two scoring-oracle chunks (max(horizon, one day)
+// ticks each) at the short horizons, so chunk edges fall inside the trace.
+constexpr Interval kMultiChunkIntervals = 2 * kIntervalsPerDay + 30;
+
+uint64_t TotalOracleChunks(const ServeMetrics& metrics) {
+  uint64_t total = 0;
+  for (int s = 0; s < metrics.num_shards(); ++s) {
+    total += metrics.shard(s).oracle_chunks;
+  }
+  return total;
+}
+
 class StreamReplayTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamReplayTest, MatchesBatchEngineBitForBit) {
@@ -118,7 +139,7 @@ TEST_P(StreamReplayTest, MatchesBatchEngineBitForBit) {
   SimOptions sim_options;
   sim_options.parallel = false;
   sim_options.use_total_usage_oracle = case_index % 4 == 3;
-  sim_options.horizon = case_index % 3 == 0 ? 1 : (case_index % 3 == 1 ? 6 : cell.num_intervals + 4);
+  sim_options.horizon = HorizonForCase(case_index, cell.num_intervals);
   const SimResult batch = SimulateCell(cell, spec, sim_options);
 
   for (const int num_shards : {1, 3, 16}) {
@@ -159,39 +180,61 @@ TEST_P(StreamReplayTest, MatchesBatchEngineBitForBit) {
 TEST_P(StreamReplayTest, ChunkedAdvanceIsBitIdenticalToOneShot) {
   const int case_index = GetParam();
   const uint64_t seed = 7000 + static_cast<uint64_t>(case_index);
-  const CellTrace cell = RandomCell(seed);
+  const CellTrace cell = RandomCell(seed, kMultiChunkIntervals);
   const PredictorSpec spec = SpecForCase(case_index);
 
   ReplayOptions options;
   options.num_shards = 4;
   options.parallel = case_index % 2 == 0;
+  options.use_total_usage_oracle = case_index % 4 == 3;
+  options.horizon = HorizonForCase(case_index, cell.num_intervals);
+  const Interval oracle_chunk = std::max(options.horizon, kIntervalsPerDay);
 
   StreamReplayer one_shot(cell, spec, options);
   one_shot.AdvanceToEnd();
   const SimResult expected = one_shot.Finish();
 
-  StreamReplayer chunked(cell, spec, options);
-  while (!chunked.Done()) {
-    chunked.Advance(std::min<Interval>(chunked.next_tick() + 7, cell.num_intervals));
+  // The one-shot replay crosses oracle chunk edges too; it stays bit-identical
+  // to the batch engine, which scores against the full series.
+  SimOptions sim_options;
+  sim_options.parallel = false;
+  sim_options.use_total_usage_oracle = options.use_total_usage_oracle;
+  sim_options.horizon = options.horizon;
+  const SimResult batch = SimulateCell(cell, spec, sim_options);
+  ASSERT_EQ(expected.machines.size(), batch.machines.size());
+  for (size_t m = 0; m < batch.machines.size(); ++m) {
+    ExpectMetricsBitIdentical(expected.machines[m], batch.machines[m]);
   }
-  const SimResult actual = chunked.Finish();
 
-  ASSERT_EQ(actual.machines.size(), expected.machines.size());
-  for (size_t m = 0; m < expected.machines.size(); ++m) {
-    ExpectMetricsBitIdentical(actual.machines[m], expected.machines[m]);
-  }
-  EXPECT_EQ(actual.cell_savings_series, expected.cell_savings_series);
+  // Window widths put oracle chunk edges inside windows (1 excepted) and on
+  // window edges (1, and the chunk length itself).
+  for (const Interval width :
+       {Interval{1}, Interval{7}, oracle_chunk - 1, oracle_chunk, oracle_chunk + 1}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed << " horizon=" << options.horizon
+                                      << " width=" << width);
+    StreamReplayer chunked(cell, spec, options);
+    while (!chunked.Done()) {
+      chunked.Advance(std::min<Interval>(chunked.next_tick() + width, cell.num_intervals));
+    }
+    const SimResult actual = chunked.Finish();
 
-  // The per-shard event sequence numbers are part of the determinism
-  // contract: chunking must not change what each shard consumed.
-  const ServeMetrics& chunked_metrics = chunked.Metrics();
-  const ServeMetrics& one_shot_metrics = one_shot.Metrics();
-  ASSERT_EQ(chunked_metrics.num_shards(), one_shot_metrics.num_shards());
-  for (int s = 0; s < chunked_metrics.num_shards(); ++s) {
-    EXPECT_EQ(chunked_metrics.shard(s).sequence, one_shot_metrics.shard(s).sequence);
-    EXPECT_EQ(chunked_metrics.shard(s).ticks, one_shot_metrics.shard(s).ticks);
-    EXPECT_EQ(chunked_metrics.shard(s).max_batch_events,
-              one_shot_metrics.shard(s).max_batch_events);
+    ASSERT_EQ(actual.machines.size(), expected.machines.size());
+    for (size_t m = 0; m < expected.machines.size(); ++m) {
+      ExpectMetricsBitIdentical(actual.machines[m], expected.machines[m]);
+    }
+    EXPECT_EQ(actual.cell_savings_series, expected.cell_savings_series);
+
+    // The per-shard event sequence numbers are part of the determinism
+    // contract: chunking must not change what each shard consumed.
+    const ServeMetrics& chunked_metrics = chunked.Metrics();
+    const ServeMetrics& one_shot_metrics = one_shot.Metrics();
+    ASSERT_EQ(chunked_metrics.num_shards(), one_shot_metrics.num_shards());
+    for (int s = 0; s < chunked_metrics.num_shards(); ++s) {
+      EXPECT_EQ(chunked_metrics.shard(s).sequence, one_shot_metrics.shard(s).sequence);
+      EXPECT_EQ(chunked_metrics.shard(s).ticks, one_shot_metrics.shard(s).ticks);
+      EXPECT_EQ(chunked_metrics.shard(s).max_batch_events,
+                one_shot_metrics.shard(s).max_batch_events);
+    }
   }
 }
 
@@ -222,6 +265,95 @@ TEST(StreamReplayMetricsTest, CountersAndJsonAreCoherent) {
             std::string::npos);
   EXPECT_NE(json.find("\"violations\""), std::string::npos);
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
+}
+
+// The oracle work as a count: from tick 0 each machine computes ⌈T/L⌉
+// chunks (L = max(horizon, one day)), however Advance slices the trace. The
+// generated cell is two days long, a whole number of one-day chunks.
+TEST(StreamReplayMetricsTest, OracleChunksCountIsSliceInvariant) {
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 6;
+  GeneratorOptions generator_options;
+  generator_options.num_intervals = 2 * kIntervalsPerDay;
+  const CellTrace cells[] = {RandomCell(98, kMultiChunkIntervals),
+                             GenerateCellTrace(profile, generator_options, Rng(99))};
+  for (const CellTrace& cell : cells) {
+    const Interval num_intervals = cell.num_intervals;
+    for (const Interval horizon : {Interval{6}, kIntervalsPerDay + 5, num_intervals + 4}) {
+      const Interval oracle_chunk = std::max(horizon, kIntervalsPerDay);
+      const uint64_t expected = static_cast<uint64_t>(cell.num_machines()) *
+                                static_cast<uint64_t>((num_intervals + oracle_chunk - 1) /
+                                                      oracle_chunk);
+      for (const Interval width : {Interval{1}, Interval{12}, Interval{100}, num_intervals}) {
+        SCOPED_TRACE(::testing::Message() << "T=" << num_intervals << " horizon=" << horizon
+                                          << " width=" << width);
+        ReplayOptions options;
+        options.horizon = horizon;
+        options.num_shards = 3;
+        StreamReplayer replayer(cell, NSigmaSpec(3.0, 3, 8), options);
+        while (!replayer.Done()) {
+          replayer.Advance(std::min<Interval>(replayer.next_tick() + width, num_intervals));
+        }
+        const ServeMetrics& metrics = replayer.Metrics();
+        EXPECT_EQ(TotalOracleChunks(metrics), expected);
+        EXPECT_NE(metrics.ToJson().find("\"oracle_chunks\": " +
+                                        std::to_string(metrics.shard(0).oracle_chunks)),
+                  std::string::npos);
+      }
+    }
+  }
+}
+
+// Push-mode ingest (the network tier's path) in hour-long windows: each
+// shard's machines pushed one at a time in ascending order, every window
+// committed for all shards, must equal one AdvanceToEnd bit for bit.
+TEST(StreamReplayPushTest, WindowedPushIsBitIdenticalToAdvanceToEnd) {
+  const CellTrace cell = RandomCell(97, kMultiChunkIntervals);
+  const PredictorSpec spec = MaxSpec({NSigmaSpec(5.0, 3, 8), RcLikeSpec(99.0, 3, 8)});
+  ReplayOptions options;
+  options.num_shards = 3;
+  options.horizon = 6;
+
+  StreamReplayer advanced(cell, spec, options);
+  advanced.AdvanceToEnd();
+  const SimResult expected = advanced.Finish();
+
+  StreamReplayer pushed(cell, spec, options);
+  const EventLog log(cell);
+  std::vector<EventLog::MachineCursor> cursors;
+  for (int m = 0; m < cell.num_machines(); ++m) {
+    cursors.push_back(log.CreateCursor(m));
+  }
+  std::vector<StreamEvent> events;
+  constexpr Interval kWindow = kIntervalsPerHour;
+  for (Interval from = 0; from < cell.num_intervals; from += kWindow) {
+    const Interval until = std::min(from + kWindow, cell.num_intervals);
+    // Shards own contiguous machine blocks, so ascending machine order is
+    // ascending order within every shard.
+    for (int m = 0; m < cell.num_machines(); ++m) {
+      for (Interval tau = from; tau < until; ++tau) {
+        events.clear();
+        cursors[m].EmitTick(tau, events);
+        pushed.PushMachineTick(m, tau, events);
+      }
+    }
+    ASSERT_TRUE(pushed.CommitPushedWindow(until));
+  }
+  ASSERT_TRUE(pushed.Done());
+  const SimResult actual = pushed.Finish();
+
+  ASSERT_EQ(actual.machines.size(), expected.machines.size());
+  for (size_t m = 0; m < expected.machines.size(); ++m) {
+    ExpectMetricsBitIdentical(actual.machines[m], expected.machines[m]);
+  }
+  EXPECT_EQ(actual.cell_savings_series, expected.cell_savings_series);
+  const ServeMetrics& pushed_metrics = pushed.Metrics();
+  const ServeMetrics& advanced_metrics = advanced.Metrics();
+  for (int s = 0; s < options.num_shards; ++s) {
+    EXPECT_EQ(pushed_metrics.shard(s).sequence, advanced_metrics.shard(s).sequence);
+    EXPECT_EQ(pushed_metrics.shard(s).ticks, advanced_metrics.shard(s).ticks);
+    EXPECT_EQ(pushed_metrics.shard(s).oracle_chunks, advanced_metrics.shard(s).oracle_chunks);
+  }
 }
 
 }  // namespace

@@ -1,21 +1,19 @@
 // Writing a new overcommit policy.
 //
 // The artifact's stated purpose is "to enable future work on designing
-// overcommit policies": implement PeakPredictor, and the whole evaluation
-// pipeline (oracle comparison, violation metrics, savings) works unchanged.
+// overcommit policies": implement PeakPredictor, hand SimulateCell a factory
+// for it, and the whole evaluation pipeline (oracle comparison, violation
+// and tail metrics, savings) works unchanged.
 //
 // This example adds an EWMA-with-error-headroom predictor: an exponentially
 // weighted moving average of machine usage plus a multiple of the EWMA of
 // absolute one-step errors (a cheap, O(1)-memory cousin of N-sigma), and
 // races it against the built-ins.
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <unordered_map>
-
-#include "crf/core/oracle.h"
 
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
@@ -93,75 +91,6 @@ class EwmaPredictor : public PeakPredictor {
   double prediction_ = 0.0;
 };
 
-// A tiny driver mirroring SimulateCell for caller-supplied factories (the
-// library's SimulateCell takes a PredictorSpec; custom predictors plug in by
-// replicating its per-machine loop against the public oracle API).
-SimResult SimulateWithFactory(const CellTrace& cell,
-                              const std::function<std::unique_ptr<PeakPredictor>()>& factory) {
-  // Wrap the factory in a spec-free path: reuse SimulateMachine by copying
-  // its observable behaviour — here we inline a compact version.
-  SimResult result;
-  result.cell_name = cell.name;
-  result.predictor_name = factory()->name();
-  std::vector<double> cell_limit(cell.num_intervals, 0.0);
-  std::vector<double> cell_prediction(cell.num_intervals, 0.0);
-
-  for (int m = 0; m < cell.num_machines(); ++m) {
-    auto predictor = factory();
-    const std::vector<double> oracle = ComputePeakOracle(cell, m, kIntervalsPerDay);
-    const std::span<const int32_t> machine_tasks = cell.machine_tasks(m);
-    std::vector<int32_t> order(machine_tasks.begin(), machine_tasks.end());
-    const std::span<const Interval> starts = cell.task_starts();
-    std::sort(order.begin(), order.end(),
-              [starts](int32_t a, int32_t b) { return starts[a] < starts[b]; });
-    MachineMetrics metrics;
-    metrics.machine_index = m;
-    metrics.intervals = cell.num_intervals;
-    std::vector<int32_t> active;
-    std::vector<TaskSample> samples;
-    size_t next = 0;
-    double severity_sum = 0.0;
-    double savings_sum = 0.0;
-    for (Interval tau = 0; tau < cell.num_intervals; ++tau) {
-      std::erase_if(active, [&cell, tau](int32_t i) { return cell.task(i).end() <= tau; });
-      while (next < order.size() && starts[order[next]] <= tau) {
-        active.push_back(order[next++]);
-      }
-      samples.clear();
-      double limit_sum = 0.0;
-      for (const int32_t i : active) {
-        const TaskView task = cell.task(i);
-        samples.push_back({task.task_id(), task.UsageAt(tau), task.limit()});
-        limit_sum += task.limit();
-      }
-      predictor->Observe(tau, samples);
-      const double prediction = predictor->PredictPeak();
-      if (prediction < oracle[tau] * (1.0 - 1e-9) - 1e-12) {
-        ++metrics.violations;
-        severity_sum += (oracle[tau] - prediction) / oracle[tau];
-      }
-      if (!active.empty()) {
-        ++metrics.occupied_intervals;
-        savings_sum += (limit_sum - prediction) / limit_sum;
-      }
-      cell_limit[tau] += limit_sum;
-      cell_prediction[tau] += prediction;
-    }
-    metrics.mean_violation_severity = severity_sum / cell.num_intervals;
-    if (metrics.occupied_intervals > 0) {
-      metrics.savings_ratio = savings_sum / metrics.occupied_intervals;
-    }
-    result.machines.push_back(metrics);
-  }
-  for (Interval t = 0; t < cell.num_intervals; ++t) {
-    if (cell_limit[t] > 0) {
-      result.cell_savings_series.push_back((cell_limit[t] - cell_prediction[t]) /
-                                           cell_limit[t]);
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -176,7 +105,7 @@ int main() {
   Table table({"predictor", "mean violation rate", "mean cell savings"});
 
   for (const double headroom : {2.0, 4.0, 8.0}) {
-    const SimResult result = SimulateWithFactory(cell, [headroom] {
+    const SimResult result = SimulateCell(cell, [headroom] {
       return std::make_unique<EwmaPredictor>(0.05, headroom, 2 * kIntervalsPerHour);
     });
     table.AddRow(result.predictor_name,

@@ -408,89 +408,28 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
       return false;
     }
 
-    // Validate and apply tick by tick. Each tick's batch is checked against
-    // the machine's live roster BEFORE it reaches the service, so malformed
-    // input can never trip IngestTick's CHECKs.
+    // Apply tick by tick. OvercommitService::IngestTick validates each
+    // tick's batch against the machine's live roster before it changes
+    // anything; a rejected tick draws its diagnostic as the kError text.
     const OvercommitService& service = replayer_.service();
     const auto t0 = std::chrono::steady_clock::now();
     size_t i = 0;
+    std::string ingest_error;
     for (Interval tau = request.from_tick; tau < request.until_tick; ++tau) {
       size_t end = i;
       while (end < request.events.size() && request.events[end].tick == tau) {
         ++end;
       }
       const std::span<const StreamEvent> tick_events(request.events.data() + i, end - i);
-
-      // Phase split: departures, then arrivals, then samples.
-      size_t d = 0;
-      while (d < tick_events.size() &&
-             tick_events[d].kind == StreamEventKind::kTaskDeparture) {
-        ++d;
-      }
-      size_t a = d;
-      while (a < tick_events.size() && tick_events[a].kind == StreamEventKind::kTaskArrival) {
-        ++a;
-      }
-      for (size_t k = a; k < tick_events.size(); ++k) {
-        if (tick_events[k].kind != StreamEventKind::kUsageSample) {
-          AppendError("ingest-batch events out of canonical order at tick " +
-                          std::to_string(tau) +
-                          " (expected departures, arrivals, then samples)",
-                      out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
-      }
-
-      // Re-derive the expected post-update roster.
-      const std::span<const int32_t> roster = service.Roster(request.machine);
-      shard.scratch_roster.assign(roster.begin(), roster.end());
-      for (size_t k = 0; k < d; ++k) {
-        const auto it = std::find(shard.scratch_roster.begin(), shard.scratch_roster.end(),
-                                  tick_events[k].task_index);
-        if (it == shard.scratch_roster.end()) {
-          AppendError("departure of task " + std::to_string(tick_events[k].task_index) +
-                          " not resident on machine " + std::to_string(request.machine) +
-                          " at tick " + std::to_string(tau),
-                      out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
-        shard.scratch_roster.erase(it);
-      }
-      for (size_t k = d; k < a; ++k) {
-        if (std::find(shard.scratch_roster.begin(), shard.scratch_roster.end(),
-                      tick_events[k].task_index) != shard.scratch_roster.end()) {
-          AppendError("arrival of task " + std::to_string(tick_events[k].task_index) +
-                          " already resident on machine " + std::to_string(request.machine) +
-                          " at tick " + std::to_string(tau),
-                      out);
-          net_metrics_.OnRejectedFrame();
-          return false;
-        }
-        shard.scratch_roster.push_back(tick_events[k].task_index);
-      }
-      const size_t num_samples = tick_events.size() - a;
-      bool samples_ok = num_samples == shard.scratch_roster.size();
-      for (size_t k = 0; samples_ok && k < num_samples; ++k) {
-        samples_ok = tick_events[a + k].task_index == shard.scratch_roster[k];
-      }
-      if (!samples_ok) {
-        AppendError("ingest-batch usage samples at tick " + std::to_string(tau) +
-                        " do not match machine " + std::to_string(request.machine) +
-                        "'s roster (" + std::to_string(num_samples) + " samples, " +
-                        std::to_string(shard.scratch_roster.size()) + " resident tasks)",
-                    out);
+      if (!replayer_.PushMachineTick(request.machine, tau, tick_events, &ingest_error)) {
+        AppendError("ingest-batch " + ingest_error, out);
         net_metrics_.OnRejectedFrame();
         return false;
       }
-
-      response.prediction = replayer_.PushMachineTick(request.machine, tau, tick_events);
+      response.prediction = service.Predict(request.machine);
       // Advance the streaming cursor with every applied tick, not once per
-      // batch: a validation error on a later tick must leave the cursor on
-      // the applied prefix, so a resumed stream continues at the first
-      // unapplied tick instead of re-pushing ticks the replayer already
-      // holds (which would CHECK-abort in IngestTick).
+      // batch: a rejected later tick must leave the cursor on the applied
+      // prefix, so a resumed stream continues at the first unapplied tick.
       shard.machine_tick = tau + 1;
       i = end;
     }

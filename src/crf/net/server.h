@@ -18,13 +18,15 @@
 // committed boundary are bit-identical to an in-process Advance over the
 // same trace.
 //
-// Every byte off the wire is validated before it reaches the replayer: the
-// frame layer checks magic/version/length/checksum, the payload decoders
-// bounds-check each field, and the ingest handler re-derives the expected
-// roster per tick (departures ∈ roster, arrivals ∉ roster, exactly one
-// sample per resident task in roster order) — so malformed input produces a
-// kError response and a closed connection, never a CHECK-abort in the
-// service. A protocol error mid-batch leaves the validly-applied prefix
+// Every byte off the wire is validated: the frame layer checks
+// magic/version/length/checksum, the payload decoders bounds-check each
+// field, the ingest handler enforces the window and streaming order, and
+// OvercommitService::IngestTick — the one batch validator — checks each
+// tick against the machine's roster (departures ∈ roster, arrivals ∉
+// roster, exactly one sample per resident task in roster order) before
+// applying it. Malformed input produces a kError response carrying the
+// service's diagnostic and a closed connection, never a CHECK-abort. A
+// protocol error mid-batch leaves the validly-applied prefix
 // ingested (the replayer stays consistent) and drops the connection; the
 // shard's streaming cursor tracks the applied prefix tick by tick, so a
 // reconnecting client resumes at the first unapplied tick.
@@ -112,8 +114,6 @@ class OvercommitServer {
     // Wall-clock seconds spent in ingest on this shard (folded into
     // ServeMetrics at snapshot/shutdown).
     double elapsed_seconds = 0.0;
-    // Roster validation scratch (reused; no steady-state allocations).
-    std::vector<int32_t> scratch_roster;
   };
 
   // One finished connection worker, joinable once `done` is set.

@@ -10,10 +10,12 @@
 //   3. kUsageSample    exactly one per resident task, in roster order (the
 //                      arrival order with departed tasks compacted out).
 //
-// The order within 1 and 2 — including the permutation of ties — is produced
-// by BuildMachineEventLists, the same code the batch simulator uses, so the
-// floating-point accumulation a consumer performs over the events is
-// bit-identical to the batch engine's.
+// The order within 1 and 2 — including the permutation of ties — is the
+// departed/arrived slices of MachineRoster (crf/trace/machine_events.h), the
+// same walk the batch simulator steps, so the floating-point accumulation a
+// consumer performs over the events is bit-identical to the batch engine's.
+// OvercommitService::IngestTick validates this order and rejects any batch
+// that breaks it.
 
 #ifndef CRF_SERVE_EVENT_H_
 #define CRF_SERVE_EVENT_H_

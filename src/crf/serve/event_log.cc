@@ -1,7 +1,5 @@
 #include "crf/serve/event_log.h"
 
-#include <algorithm>
-
 #include "crf/util/check.h"
 
 namespace crf {
@@ -16,75 +14,32 @@ EventLog::MachineCursor EventLog::CreateCursor(int machine_index) const {
 
 EventLog::MachineCursor::MachineCursor(const EventLog* log, int machine_index)
     : log_(log), machine_(machine_index) {
-  BuildMachineEventLists(log->columns(), log->cell().machine_tasks(machine_index), arrivals_,
-                         departures_);
+  roster_.Reset(log->columns(), log->cell().machine_tasks(machine_index));
 }
 
 void EventLog::MachineCursor::EmitTick(Interval tau, std::vector<StreamEvent>& out) {
   CRF_CHECK_EQ(tau, next_tick_);
   const MachineTaskColumns& cols = log_->columns();
-
-  // 1. Departures, in departure-time order (the same permutation in which
-  // the batch engine subtracts their limits from the running sum).
-  bool departed = false;
-  while (next_departure_ < departures_.size() &&
-         cols.DepartureTime(departures_[next_departure_]) <= tau) {
-    const int32_t index = departures_[next_departure_++];
-    out.push_back({StreamEventKind::kTaskDeparture, machine_, index, tau, cols.id[index],
-                   0.0, cols.limit[index]});
-    departed = true;
+  roster_.Advance(tau);
+  for (const int32_t index : roster_.departed()) {
+    out.push_back({StreamEventKind::kTaskDeparture, machine_, index, tau, cols.id[index], 0.0,
+                   cols.limit[index]});
   }
-  if (departed) {
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&cols, tau](int32_t i) {
-                                   return cols.DepartureTime(i) <= tau;
-                                 }),
-                  active_.end());
+  for (const int32_t index : roster_.arrived()) {
+    out.push_back({StreamEventKind::kTaskArrival, machine_, index, tau, cols.id[index], 0.0,
+                   cols.limit[index]});
   }
-
-  // 2. Arrivals, in start order.
-  while (next_arrival_ < arrivals_.size() && cols.start[arrivals_[next_arrival_]] <= tau) {
-    const int32_t index = arrivals_[next_arrival_++];
-    active_.push_back(index);
-    out.push_back({StreamEventKind::kTaskArrival, machine_, index, tau, cols.id[index],
-                   0.0, cols.limit[index]});
-  }
-
-  // 3. One usage sample per resident task, in roster order.
-  for (const int32_t index : active_) {
+  for (const int32_t index : roster_.active()) {
     out.push_back({StreamEventKind::kUsageSample, machine_, index, tau, cols.id[index],
                    cols.UsageAt(index, tau), cols.limit[index]});
   }
-
   ++next_tick_;
 }
 
 void EventLog::MachineCursor::Seek(Interval resume_tick) {
   CRF_CHECK_GE(resume_tick, 0);
   CRF_CHECK_LE(resume_tick, log_->num_intervals());
-  const MachineTaskColumns& cols = log_->columns();
-  const Interval last = resume_tick - 1;
-
-  next_arrival_ = 0;
-  next_departure_ = 0;
-  active_.clear();
-  if (resume_tick == 0) {
-    next_tick_ = 0;
-    return;
-  }
-  while (next_departure_ < departures_.size() &&
-         cols.DepartureTime(departures_[next_departure_]) <= last) {
-    ++next_departure_;
-  }
-  // The arrival prefix minus the departed tasks, in arrival order — exactly
-  // the roster incremental evolution produces, because the batch compaction
-  // preserves the survivors' relative (arrival) order.
-  while (next_arrival_ < arrivals_.size() && cols.start[arrivals_[next_arrival_]] <= last) {
-    const int32_t index = arrivals_[next_arrival_++];
-    if (cols.DepartureTime(index) > last) {
-      active_.push_back(index);
-    }
-  }
+  roster_.Seek(resume_tick);
   next_tick_ = resume_tick;
 }
 

@@ -1,18 +1,16 @@
 // EventLog: replays a sealed CellTrace as a per-machine event stream.
 //
 // The streaming differential twin of the batch engine's trace walk: a
-// MachineCursor tracks one machine's position in its arrival/departure event
-// lists plus the evolving resident roster, and EmitTick appends that
-// machine's events for one interval in the canonical order of event.h. The
-// event lists come from BuildMachineEventLists — the exact code the batch
-// simulator runs — so a consumer that accumulates limits and usage in event
-// order reproduces the batch arithmetic bit for bit.
+// MachineCursor steps one machine's MachineRoster (crf/trace/machine_events.h)
+// — the exact roster walk the batch simulator runs — and EmitTick appends
+// that tick's departed and arrived slices, then one usage sample per
+// resident task, in the canonical order of event.h. A consumer that
+// accumulates limits and usage in event order therefore reproduces the batch
+// arithmetic bit for bit.
 //
 // Cursors are value types; one lives per served machine. Seek() repositions
-// a cursor to any interval boundary without replaying (used by checkpoint
-// restore): the roster it derives is identical to the one incremental
-// evolution would have produced, because the batch compaction
-// (std::remove_if) preserves the relative order of survivors.
+// a cursor to any interval boundary (used by checkpoint restore and by
+// clients resuming a stream) by stepping only the ticks that carry an event.
 
 #ifndef CRF_SERVE_EVENT_LOG_H_
 #define CRF_SERVE_EVENT_LOG_H_
@@ -42,7 +40,7 @@ class EventLog {
 
     Interval next_tick() const { return next_tick_; }
     // Resident task indices (into the trace columns) in roster order.
-    const std::vector<int32_t>& active() const { return active_; }
+    const std::vector<int32_t>& active() const { return roster_.active(); }
 
    private:
     friend class EventLog;
@@ -50,13 +48,7 @@ class EventLog {
 
     const EventLog* log_ = nullptr;
     int machine_ = -1;
-    // Task indices sorted by start / by departure (shared permutation with
-    // the batch engine).
-    std::vector<int32_t> arrivals_;
-    std::vector<int32_t> departures_;
-    std::vector<int32_t> active_;
-    size_t next_arrival_ = 0;
-    size_t next_departure_ = 0;
+    MachineRoster roster_;
     Interval next_tick_ = 0;
   };
 

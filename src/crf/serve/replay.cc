@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <span>
+#include <string>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
@@ -67,33 +68,38 @@ double StreamReplayer::OracleAt(ShardState& shard, ShardMetrics& shard_metrics, 
   return value;
 }
 
-double StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
-                                 Interval tau, std::span<const StreamEvent> events) {
+bool StreamReplayer::ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
+                               Interval tau, std::span<const StreamEvent> events,
+                               std::string* error) {
+  const int period = options_.latency_sample_period;
+  const bool timed =
+      period > 0 && (shard_metrics.ticks + 1) % static_cast<uint64_t>(period) == 0;
+  std::chrono::steady_clock::time_point t0;
+  if (timed) {
+    t0 = std::chrono::steady_clock::now();
+  }
+  if (!service_.IngestTick(machine, tau, events, error)) {
+    return false;
+  }
+  if (timed) {
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    shard_metrics.predict_latency_log2_ns.Add(ns > 1.0 ? std::log2(ns) : 0.0, ns);
+  }
   shard_metrics.sequence += events.size();
   ++shard_metrics.ticks;
   shard_metrics.max_batch_events =
       std::max(shard_metrics.max_batch_events, static_cast<int64_t>(events.size()));
 
-  const int period = options_.latency_sample_period;
-  double prediction;
-  if (period > 0 && shard_metrics.ticks % static_cast<uint64_t>(period) == 0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    prediction = service_.IngestTick(machine, tau, events);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    shard_metrics.predict_latency_log2_ns.Add(ns > 1.0 ? std::log2(ns) : 0.0, ns);
-  } else {
-    prediction = service_.IngestTick(machine, tau, events);
-  }
-
+  const double prediction = service_.Predict(machine);
   const double oracle_value = OracleAt(shard, shard_metrics, machine, tau);
   const double limit_sum = service_.LimitSum(machine);
   const bool occupied = !service_.Roster(machine).empty();
   accums_[machine].risk.Record(prediction, oracle_value, limit_sum, occupied);
   shard.cell_limit[tau] += limit_sum;
   shard.cell_prediction[tau] += prediction;
-  return prediction;
+  return true;
 }
 
 void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until) {
@@ -109,6 +115,7 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
   const bool drop_pages = options_.drop_mapped_pages && until == log_.num_intervals() &&
                           log_.cell().is_mapped();
   int drop_from = shard.begin_machine;
+  std::string error;  // Trace-driven batches are valid by construction.
 
   for (int m = shard.begin_machine; m < shard.end_machine; ++m) {
     EventLog::MachineCursor& cursor = cursors_[m];
@@ -116,7 +123,7 @@ void StreamReplayer::AdvanceShard(int shard_index, Interval from, Interval until
     for (Interval tau = from; tau < until; ++tau) {
       shard.events.clear();
       cursor.EmitTick(tau, shard.events);
-      ApplyTick(shard, shard_metrics, m, tau, shard.events);
+      CRF_CHECK(ApplyTick(shard, shard_metrics, m, tau, shard.events, &error)) << error;
     }
 
     // The machine-outer loop consumes each machine's stream exactly once per
@@ -155,14 +162,18 @@ void StreamReplayer::Advance(Interval until) {
   next_tick_ = until;
 }
 
-double StreamReplayer::PushMachineTick(int machine, Interval tau,
-                                       std::span<const StreamEvent> events) {
-  CRF_CHECK_GE(machine, 0);
-  CRF_CHECK_LT(machine, log_.num_machines());
-  CRF_CHECK_GE(tau, next_tick_);
-  CRF_CHECK_LT(tau, log_.num_intervals());
+bool StreamReplayer::PushMachineTick(int machine, Interval tau,
+                                     std::span<const StreamEvent> events, std::string* error) {
+  if (machine < 0 || machine >= log_.num_machines() || tau < next_tick_ ||
+      tau >= log_.num_intervals()) {
+    if (error != nullptr) {
+      *error = "machine " + std::to_string(machine) + " tick " + std::to_string(tau) +
+               ": outside the replay's machines or open ticks";
+    }
+    return false;
+  }
   const int s = shard_of(machine);
-  return ApplyTick(shards_[s], metrics_.shard(s), machine, tau, events);
+  return ApplyTick(shards_[s], metrics_.shard(s), machine, tau, events, error);
 }
 
 bool StreamReplayer::CommitPushedWindow(Interval until) {

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "crf/core/oracle.h"
@@ -121,11 +122,13 @@ class StreamReplayer {
   // The shard owning `machine` (same contiguous-block map as Advance).
   int shard_of(int machine) const { return machine / machine_block_; }
 
-  // Ingests one machine's canonical event batch for interval `tau` and
-  // returns the published prediction. The batch must already be validated
-  // (roster-consistent, canonical order) — malformed input CHECK-aborts,
-  // exactly like OvercommitService::IngestTick.
-  double PushMachineTick(int machine, Interval tau, std::span<const StreamEvent> events);
+  // Ingests one machine's canonical event batch for interval `tau`;
+  // service().Predict(machine) then holds the published prediction. A
+  // machine or tick outside the replay, or a batch OvercommitService::
+  // IngestTick rejects, returns false with a diagnostic in `error` (when
+  // non-null) and changes nothing: no counter, risk record or series entry.
+  bool PushMachineTick(int machine, Interval tau, std::span<const StreamEvent> events,
+                       std::string* error = nullptr);
 
   // Advances next_tick() to `until` after every machine has been pushed
   // through tick until-1. Returns false (leaving state unchanged) if any
@@ -186,10 +189,11 @@ class StreamReplayer {
   // The scoring oracle of `machine` at `tau`, from the machine's chunk
   // (computed into it on a miss, released after the last tick).
   double OracleAt(ShardState& shard, ShardMetrics& shard_metrics, int machine, Interval tau);
-  // The shared per-tick body of Advance and push-mode ingest: metrics,
-  // latency-sampled IngestTick, risk recording, cell series accumulation.
-  double ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine,
-                   Interval tau, std::span<const StreamEvent> events);
+  // The shared per-tick body of Advance and push-mode ingest: latency-sampled
+  // IngestTick, then (only if it accepted the batch) metrics, risk recording
+  // and cell series accumulation.
+  bool ApplyTick(ShardState& shard, ShardMetrics& shard_metrics, int machine, Interval tau,
+                 std::span<const StreamEvent> events, std::string* error);
 
   EventLog log_;
   ReplayOptions options_;

@@ -1,17 +1,22 @@
 // OvercommitService: incremental per-machine predictor state (DESIGN.md §7).
 //
 // The online half of the serve layer. Each machine owns a predictor instance
-// (built from one PredictorSpec via PredictorFactory), a resident-task
-// roster mirroring the batch engine's `active` list, and the incrementally
+// (built from one PredictorSpec via CreatePredictor), a resident-task roster
+// mirroring the batch engine's MachineRoster, and the incrementally
 // maintained limit sum. IngestTick applies one machine's events for one
 // interval — departures, arrivals, then usage samples in roster order — and
 // runs one Observe/PredictPeak round, in exactly the arithmetic order of the
-// batch SimulateMachine loop, so the published prediction stream is
+// batch engine's tick loop, so the published prediction stream is
 // bit-identical to the batch engine's.
 //
-// Per-machine updates cost O(events + log w) amortized (the predictor's
-// window insert is the log factor) and allocate nothing in steady state: the
-// roster and scratch vectors reuse their high-water capacity.
+// IngestTick is the one validator of ingested batches: every producer —
+// the in-process replayer and the network tier alike — hands it raw
+// batches, and it checks the whole batch before mutating anything, so a
+// malformed batch is rejected with a status and leaves the machine as it
+// was. Per-machine updates cost O(roster + events · log events + log w)
+// (the predictor's window insert is the log w factor) and allocate nothing
+// in steady state: the roster and scratch vectors reuse their high-water
+// capacity.
 //
 // Thread-safety: calls for DISTINCT machines may run concurrently (state is
 // strictly per-machine); calls for the same machine must be serialized by
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "crf/core/predictor_factory.h"
@@ -39,12 +45,18 @@ class OvercommitService {
   OvercommitService(const PredictorSpec& spec, int num_machines);
 
   // Applies machine `machine`'s canonical event batch for interval `tau`
-  // (see event.h for the required order) and runs one predictor round.
-  // Returns the published prediction. Ticks per machine must be ingested in
-  // increasing order; the batch must contain exactly one usage sample per
-  // resident task, in roster order (CHECK-enforced: a malformed batch is a
-  // producer bug, not recoverable input).
-  double IngestTick(int machine, Interval tau, std::span<const StreamEvent> events);
+  // (see event.h) and runs one predictor round; Predict() then returns the
+  // published prediction. `machine` must be in range. Returns false with a
+  // diagnostic in `error` (when non-null), changing nothing, unless:
+  //   * the events are in canonical phase order (departures, arrivals,
+  //     then usage samples);
+  //   * `tau` is after the machine's last ingested tick;
+  //   * every departure is resident and listed once;
+  //   * no arrival is resident after the departures (or listed twice);
+  //   * the samples are exactly the surviving roster, then the arrivals, in
+  //     order.
+  bool IngestTick(int machine, Interval tau, std::span<const StreamEvent> events,
+                  std::string* error);
 
   // The last published prediction / the machine's resident limit sum.
   double Predict(int machine) const { return machines_[machine].last_prediction; }
@@ -74,9 +86,9 @@ class OvercommitService {
     double limit_sum = 0.0;
     double last_prediction = 0.0;
     Interval last_tick = -1;
-    // Scratch for the departure compaction (reused, zero steady-state
-    // allocations).
-    std::vector<int32_t> departed;
+    // Validation scratch: the batch's departure then arrival task indices,
+    // each run sorted (reused, zero steady-state allocations).
+    std::vector<int32_t> sorted_events;
   };
 
   PredictorSpec spec_;

@@ -1,11 +1,12 @@
 // Per-thread scratch for the fused simulation engine.
 //
-// SimulateMachine runs once per machine per sweep point — millions of times
-// in a full evaluation — so its working set (event lists, resident set,
-// sample buffer, oracle buffers, the predictor instance itself) lives in a
-// thread-local workspace. Buffers grow to the high-water size of the
-// machines a thread has simulated and are reused, so the steady-state path
-// performs zero heap allocations per machine.
+// The batch engines run their per-machine tick loop once per machine per
+// SimulateCell call (once per machine for a whole SimulateCellMulti grid) —
+// millions of machine passes in a full evaluation — so its working set
+// (roster, sample buffer, oracle buffers, risk accumulators, the predictor
+// or sweep bank) lives in a thread-local workspace. Buffers grow to the
+// high-water size of the machines a thread has simulated and are reused, so
+// the steady-state path performs zero heap allocations per machine.
 
 #ifndef CRF_SIM_SIM_WORKSPACE_H_
 #define CRF_SIM_SIM_WORKSPACE_H_
@@ -18,6 +19,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/core/sweep_bank.h"
 #include "crf/risk/risk_accumulator.h"
+#include "crf/trace/machine_events.h"
 
 namespace crf {
 
@@ -27,18 +29,13 @@ struct SimWorkspace {
   OracleScratch oracle_scratch;
   std::vector<double> oracle;
 
-  // Per-machine event lists: task indices sorted by arrival / by departure.
-  std::vector<int32_t> arrivals;
-  std::vector<int32_t> departures;
-  // Resident task indices and the sample buffer handed to the predictor.
-  std::vector<int32_t> active;
+  // The machine's roster walk and the sample buffer handed to the predictor.
+  MachineRoster roster;
   std::vector<TaskSample> samples;
 
-  // Per-machine risk accounting (crf/risk), Reset() per machine. One for the
-  // single-spec engine, one per spec for the multi-spec engine (grown to the
-  // plan's spec count by SimulateMachineMulti, never shrunk).
-  RiskAccumulator risk;
-  std::vector<RiskAccumulator> multi_risk;
+  // Per-machine risk accounting (crf/risk), Reset() per machine: one per
+  // prediction series (grown to a grid's spec count, never shrunk).
+  std::vector<RiskAccumulator> risk;
 
   // Returns a predictor for `spec`, reusing (via Reset) the previous
   // instance when the spec is unchanged — the common case when sweeping one

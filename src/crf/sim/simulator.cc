@@ -1,7 +1,11 @@
 #include "crf/sim/simulator.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crf/sim/sim_workspace.h"
@@ -11,12 +15,6 @@
 
 namespace crf {
 namespace {
-
-// The column view and event ordering live in crf/trace/machine_events.h,
-// shared with the streaming replayer (crf/serve): both engines must derive
-// the same event permutation for their floating-point accumulation over the
-// resident set to be bit-identical.
-using TaskColumns = MachineTaskColumns;
 
 // The oracle depends only on (cell, machine, horizon, kind): take the shared
 // memoized series when a cache is supplied, otherwise compute into the
@@ -39,303 +37,126 @@ std::span<const double> FetchOracle(const CellTrace& cell, int machine_index,
   return ws.oracle;
 }
 
-// Event lists: arrivals by start, departures by departure time. The resident
-// set and its limit sum then evolve incrementally — per-interval work is
-// only the sample fill, with no rescans on event-free intervals.
-void BuildEventLists(const TaskColumns& cols, std::span<const int32_t> task_indices,
-                     SimWorkspace& ws) {
-  BuildMachineEventLists(cols, task_indices, ws.arrivals, ws.departures);
-}
+// One predictor seen through the SweepBank interface: a one-spec bank.
+struct PredictorObserver {
+  PeakPredictor& predictor;
+  double prediction = 0.0;
 
-}  // namespace
+  void Observe(Interval tau, std::span<const TaskSample> samples) {
+    predictor.Observe(tau, samples);
+    prediction = predictor.PredictPeak();
+  }
+  std::span<const double> Predictions() const { return {&prediction, 1}; }
+};
 
-MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
-                               const PredictorSpec& spec, const SimOptions& options,
-                               std::vector<double>* cell_limit,
-                               std::vector<double>* cell_prediction) {
-  const Interval num_intervals = cell.num_intervals;
+// The one per-machine tick loop of the batch engines. The workspace's
+// MachineRoster keeps the resident set and its limit sum; each tick the
+// resident samples go to `observer` (a PeakPredictor or a SweepBank), and
+// each of its `num_series` predictions is scored by one RiskAccumulator and,
+// when `cell_predictions` is non-empty, summed into cell_predictions[s].
+// Returns the machine's accumulators (workspace-owned, valid until the
+// thread's next machine).
+template <typename Observer>
+std::span<const RiskAccumulator> RunMachine(const CellTrace& cell, int machine_index,
+                                            const SimOptions& options, Observer& observer,
+                                            int num_series, std::vector<double>* cell_limit,
+                                            std::span<std::vector<double>> cell_predictions) {
   SimWorkspace& ws = SimWorkspace::ThreadLocal();
-
   OracleCache::Series cached;
   const std::span<const double> oracle = FetchOracle(cell, machine_index, options, ws, cached);
 
-  PeakPredictor* predictor = ws.GetPredictor(spec);
+  if (ws.risk.size() < static_cast<size_t>(num_series)) {
+    ws.risk.resize(num_series);
+  }
+  const std::span<RiskAccumulator> risk(ws.risk.data(), num_series);
+  for (RiskAccumulator& accumulator : risk) {
+    accumulator.Reset();
+  }
 
-  const TaskColumns cols(cell);
-  BuildEventLists(cols, cell.machine_tasks(machine_index), ws);
-
-  std::vector<int32_t>& active = ws.active;
+  const MachineTaskColumns cols(cell);
+  MachineRoster& roster = ws.roster;
+  roster.Reset(cols, cell.machine_tasks(machine_index));
   std::vector<TaskSample>& samples = ws.samples;
-  active.clear();
-  samples.clear();
 
-  size_t next_arrival = 0;
-  size_t next_departure = 0;
-  double limit_sum = 0.0;
-  RiskAccumulator& risk = ws.risk;
-  risk.Reset();
-
-  for (Interval tau = 0; tau < num_intervals; ++tau) {
-    // Retire departed tasks (event-driven: the compaction scan runs only on
-    // intervals where a departure actually occurs).
-    if (next_departure < ws.departures.size() &&
-        cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-      while (next_departure < ws.departures.size() &&
-             cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-        limit_sum -= cols.limit[ws.departures[next_departure]];
-        ++next_departure;
-      }
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&cols, tau](int32_t i) {
-                                    return cols.DepartureTime(i) <= tau;
-                                  }),
-                   active.end());
-    }
-    // Admit arrivals.
-    while (next_arrival < ws.arrivals.size() &&
-           cols.start[ws.arrivals[next_arrival]] <= tau) {
-      const int32_t index = ws.arrivals[next_arrival++];
-      active.push_back(index);
-      limit_sum += cols.limit[index];
-    }
-    if (active.empty()) {
-      limit_sum = 0.0;  // Kill incremental drift; the true sum is exactly 0.
-    }
-
+  for (Interval tau = 0; tau < cell.num_intervals; ++tau) {
+    roster.Advance(tau);
     samples.clear();
-    for (const int32_t task_index : active) {
-      samples.push_back(
-          {cols.id[task_index], cols.UsageAt(task_index, tau), cols.limit[task_index]});
+    for (const int32_t index : roster.active()) {
+      samples.push_back({cols.id[index], cols.UsageAt(index, tau), cols.limit[index]});
     }
 
-    predictor->Observe(tau, samples);
-    const double prediction = predictor->PredictPeak();
-    const double oracle_value = oracle[tau];
-
-    risk.Record(prediction, oracle_value, limit_sum, !active.empty());
+    observer.Observe(tau, samples);
+    const std::span<const double> predictions = observer.Predictions();
+    const double limit_sum = roster.limit_sum();
+    const bool occupied = !roster.active().empty();
     if (cell_limit != nullptr) {
       (*cell_limit)[tau] += limit_sum;
     }
-    if (cell_prediction != nullptr) {
-      (*cell_prediction)[tau] += prediction;
+    for (int s = 0; s < num_series; ++s) {
+      risk[s].Record(predictions[s], oracle[tau], limit_sum, occupied);
+      if (!cell_predictions.empty()) {
+        cell_predictions[s][tau] += predictions[s];
+      }
     }
   }
+  return risk;
+}
 
+MachineMetrics SimulateMachineWith(PeakPredictor& predictor, const CellTrace& cell,
+                                   int machine_index, const SimOptions& options,
+                                   std::vector<double>* cell_limit,
+                                   std::vector<double>* cell_prediction) {
+  PredictorObserver observer{predictor};
+  const std::span<const RiskAccumulator> risk =
+      RunMachine(cell, machine_index, options, observer, 1, cell_limit,
+                 cell_prediction != nullptr ? std::span(cell_prediction, 1)
+                                            : std::span<std::vector<double>>());
   MachineMetrics metrics;
-  FinalizeMachineMetrics(risk, machine_index, num_intervals, metrics);
+  FinalizeMachineMetrics(risk[0], machine_index, cell.num_intervals, metrics);
   return metrics;
 }
 
-SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
-                       const SimOptions& options) {
+// Runs `run_machine(slot, machine, limit, predictions)` for every machine of
+// `cell` into per-thread partial series — one limit series and `num_series`
+// prediction series per pool slot — reduced once after the join (no mutex
+// and no O(T) merge per machine). The limit series is spec-independent, so
+// one per slot. Returns one cell savings series per prediction series.
+std::vector<std::vector<double>> RunCell(
+    const CellTrace& cell, int num_series, const SimOptions& options,
+    const std::function<void(int, int, std::vector<double>*, std::span<std::vector<double>>)>&
+        run_machine) {
   CRF_CHECK_GT(cell.num_intervals, 0);
-  const int num_machines = cell.num_machines();
   const Interval num_intervals = cell.num_intervals;
-
-  SimResult result;
-  result.cell_name = cell.name;
-  result.predictor_name = spec.Name();
-  result.machines.resize(num_machines);
-
-  // Per-thread partial series, reduced once after the join — no mutex and
-  // no O(T) merge per machine.
-  ThreadPool& pool = ThreadPool::Default();
-  const int slots = options.parallel ? pool.num_threads() : 1;
-  std::vector<std::vector<double>> limit_slots(slots);
-  std::vector<std::vector<double>> prediction_slots(slots);
-
-  auto run_machine = [&](int slot, int m) {
-    std::vector<double>& limit = limit_slots[slot];
-    std::vector<double>& prediction = prediction_slots[slot];
-    if (limit.empty()) {
-      limit.assign(num_intervals, 0.0);
-      prediction.assign(num_intervals, 0.0);
-    }
-    result.machines[m] = SimulateMachine(cell, m, spec, options, &limit, &prediction);
-  };
-
-  if (options.parallel) {
-    pool.ParallelForIndexed(num_machines, run_machine);
-  } else {
-    for (int m = 0; m < num_machines; ++m) {
-      run_machine(0, m);
-    }
-  }
-
-  std::vector<double> cell_limit(num_intervals, 0.0);
-  std::vector<double> cell_prediction(num_intervals, 0.0);
-  for (int slot = 0; slot < slots; ++slot) {
-    if (limit_slots[slot].empty()) {
-      continue;
-    }
-    for (Interval t = 0; t < num_intervals; ++t) {
-      cell_limit[t] += limit_slots[slot][t];
-      cell_prediction[t] += prediction_slots[slot][t];
-    }
-  }
-
-  result.cell_savings_series = CellSavingsSeries(cell_limit, cell_prediction);
-  return result;
-}
-
-namespace {
-
-// One machine, whole grid: the multi-spec twin of SimulateMachine. Walks the
-// trace once; the SweepBank answers every spec per interval. Writes
-// results[s].machines[machine_index] for each spec and accumulates the
-// machine's per-interval limit sum (shared — it is spec-independent) and
-// per-spec predictions into the caller's series.
-void SimulateMachineMulti(const CellTrace& cell, int machine_index, const SweepPlan& plan,
-                          const SimOptions& options, std::span<SimResult> results,
-                          std::vector<double>* cell_limit,
-                          std::vector<std::vector<double>>* cell_predictions) {
-  const Interval num_intervals = cell.num_intervals;
-  const int num_specs = plan.num_specs();
-  SimWorkspace& ws = SimWorkspace::ThreadLocal();
-
-  OracleCache::Series cached;
-  const std::span<const double> oracle = FetchOracle(cell, machine_index, options, ws, cached);
-
-  SweepBank& bank = ws.GetSweepBank(plan);
-  bank.BeginMachine();
-
-  const TaskColumns cols(cell);
-  BuildEventLists(cols, cell.machine_tasks(machine_index), ws);
-
-  std::vector<int32_t>& active = ws.active;
-  std::vector<TaskSample>& samples = ws.samples;
-  active.clear();
-  samples.clear();
-
-  if (ws.multi_risk.size() < static_cast<size_t>(num_specs)) {
-    ws.multi_risk.resize(num_specs);
-  }
-  for (int s = 0; s < num_specs; ++s) {
-    ws.multi_risk[s].Reset();
-  }
-
-  size_t next_arrival = 0;
-  size_t next_departure = 0;
-  double limit_sum = 0.0;
-
-  for (Interval tau = 0; tau < num_intervals; ++tau) {
-    // Retire departed tasks (event-driven: the compaction scan runs only on
-    // intervals where a departure actually occurs).
-    if (next_departure < ws.departures.size() &&
-        cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-      while (next_departure < ws.departures.size() &&
-             cols.DepartureTime(ws.departures[next_departure]) <= tau) {
-        limit_sum -= cols.limit[ws.departures[next_departure]];
-        ++next_departure;
-      }
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [&cols, tau](int32_t i) {
-                                    return cols.DepartureTime(i) <= tau;
-                                  }),
-                   active.end());
-    }
-    // Admit arrivals.
-    while (next_arrival < ws.arrivals.size() &&
-           cols.start[ws.arrivals[next_arrival]] <= tau) {
-      const int32_t index = ws.arrivals[next_arrival++];
-      active.push_back(index);
-      limit_sum += cols.limit[index];
-    }
-    if (active.empty()) {
-      limit_sum = 0.0;  // Kill incremental drift; the true sum is exactly 0.
-    }
-
-    samples.clear();
-    for (const int32_t task_index : active) {
-      samples.push_back(
-          {cols.id[task_index], cols.UsageAt(task_index, tau), cols.limit[task_index]});
-    }
-
-    bank.Observe(tau, samples);
-    const std::span<const double> predictions = bank.Predictions();
-    const double oracle_value = oracle[tau];
-    const bool occupied = !active.empty();
-    if (cell_limit != nullptr) {
-      (*cell_limit)[tau] += limit_sum;
-    }
-
-    for (int s = 0; s < num_specs; ++s) {
-      const double prediction = predictions[s];
-      ws.multi_risk[s].Record(prediction, oracle_value, limit_sum, occupied);
-      if (cell_predictions != nullptr) {
-        (*cell_predictions)[s][tau] += prediction;
-      }
-    }
-  }
-
-  for (int s = 0; s < num_specs; ++s) {
-    FinalizeMachineMetrics(ws.multi_risk[s], machine_index, num_intervals,
-                           results[s].machines[machine_index]);
-  }
-}
-
-}  // namespace
-
-std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
-                                         std::span<const PredictorSpec> specs,
-                                         const SimOptions& options) {
-  CRF_CHECK_GT(cell.num_intervals, 0);
-  if (specs.empty()) {
-    return {};
-  }
-  const SweepPlan plan(specs);
-  const int num_specs = plan.num_specs();
-  const int num_machines = cell.num_machines();
-  const Interval num_intervals = cell.num_intervals;
-
-  std::vector<SimResult> results(num_specs);
-  for (int s = 0; s < num_specs; ++s) {
-    results[s].cell_name = cell.name;
-    results[s].predictor_name = specs[s].Name();
-    results[s].machines.resize(num_machines);
-  }
-
-  // Per-thread partial series, reduced once after the join. The limit series
-  // is spec-independent, so one per slot; predictions get one per (slot,
-  // spec).
   ThreadPool& pool = ThreadPool::Default();
   const int slots = options.parallel ? pool.num_threads() : 1;
   std::vector<std::vector<double>> limit_slots(slots);
   std::vector<std::vector<std::vector<double>>> prediction_slots(slots);
 
-  const std::span<SimResult> results_span(results);
-  auto run_machine = [&](int slot, int m) {
-    std::vector<double>& limit = limit_slots[slot];
-    std::vector<std::vector<double>>& predictions = prediction_slots[slot];
-    if (limit.empty()) {
-      limit.assign(num_intervals, 0.0);
-      predictions.assign(num_specs, std::vector<double>(num_intervals, 0.0));
+  auto run_slot = [&](int slot, int m) {
+    if (limit_slots[slot].empty()) {
+      limit_slots[slot].assign(num_intervals, 0.0);
+      prediction_slots[slot].assign(num_series, std::vector<double>(num_intervals, 0.0));
     }
-    SimulateMachineMulti(cell, m, plan, options, results_span, &limit, &predictions);
+    run_machine(slot, m, &limit_slots[slot], prediction_slots[slot]);
   };
-
   if (options.parallel) {
-    pool.ParallelForIndexed(num_machines, run_machine);
+    pool.ParallelForIndexed(cell.num_machines(), run_slot);
   } else {
-    for (int m = 0; m < num_machines; ++m) {
-      run_machine(0, m);
+    for (int m = 0; m < cell.num_machines(); ++m) {
+      run_slot(0, m);
     }
   }
 
   std::vector<double> cell_limit(num_intervals, 0.0);
-  std::vector<double> cell_prediction(num_intervals, 0.0);
-  for (int s = 0; s < num_specs; ++s) {
-    std::fill(cell_prediction.begin(), cell_prediction.end(), 0.0);
-    if (s == 0) {
-      for (int slot = 0; slot < slots; ++slot) {
-        if (limit_slots[slot].empty()) {
-          continue;
-        }
-        for (Interval t = 0; t < num_intervals; ++t) {
-          cell_limit[t] += limit_slots[slot][t];
-        }
-      }
+  for (int slot = 0; slot < slots; ++slot) {
+    for (Interval t = 0; t < static_cast<Interval>(limit_slots[slot].size()); ++t) {
+      cell_limit[t] += limit_slots[slot][t];
     }
+  }
+  std::vector<std::vector<double>> savings(num_series);
+  std::vector<double> cell_prediction(num_intervals);
+  for (int s = 0; s < num_series; ++s) {
+    std::fill(cell_prediction.begin(), cell_prediction.end(), 0.0);
     for (int slot = 0; slot < slots; ++slot) {
       if (prediction_slots[slot].empty()) {
         continue;
@@ -344,7 +165,95 @@ std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
         cell_prediction[t] += prediction_slots[slot][s][t];
       }
     }
-    results[s].cell_savings_series = CellSavingsSeries(cell_limit, cell_prediction);
+    savings[s] = CellSavingsSeries(cell_limit, cell_prediction);
+  }
+  return savings;
+}
+
+// SimulateCell for any predictor source: `predictor_for(slot)` returns the
+// pool slot's predictor, reset for a new machine.
+SimResult SimulateCellWith(const CellTrace& cell, std::string predictor_name,
+                           const SimOptions& options,
+                           const std::function<PeakPredictor&(int)>& predictor_for) {
+  SimResult result;
+  result.cell_name = cell.name;
+  result.predictor_name = std::move(predictor_name);
+  result.machines.resize(cell.num_machines());
+  std::vector<std::vector<double>> savings =
+      RunCell(cell, 1, options,
+              [&](int slot, int m, std::vector<double>* limit,
+                  std::span<std::vector<double>> predictions) {
+                result.machines[m] = SimulateMachineWith(predictor_for(slot), cell, m, options,
+                                                         limit, &predictions[0]);
+              });
+  result.cell_savings_series = std::move(savings[0]);
+  return result;
+}
+
+}  // namespace
+
+MachineMetrics SimulateMachine(const CellTrace& cell, int machine_index,
+                               const PredictorSpec& spec, const SimOptions& options,
+                               std::vector<double>* cell_limit,
+                               std::vector<double>* cell_prediction) {
+  return SimulateMachineWith(*SimWorkspace::ThreadLocal().GetPredictor(spec), cell,
+                             machine_index, options, cell_limit, cell_prediction);
+}
+
+SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
+                       const SimOptions& options) {
+  return SimulateCellWith(cell, spec.Name(), options, [&spec](int) -> PeakPredictor& {
+    return *SimWorkspace::ThreadLocal().GetPredictor(spec);
+  });
+}
+
+SimResult SimulateCell(const CellTrace& cell, const PredictorFactory& factory,
+                       const SimOptions& options) {
+  const int slots = options.parallel ? ThreadPool::Default().num_threads() : 1;
+  std::vector<std::unique_ptr<PeakPredictor>> predictors(slots);
+  return SimulateCellWith(cell, factory()->name(), options, [&](int slot) -> PeakPredictor& {
+    std::unique_ptr<PeakPredictor>& predictor = predictors[slot];
+    if (predictor == nullptr) {
+      predictor = factory();
+    } else {
+      predictor->Reset();
+    }
+    return *predictor;
+  });
+}
+
+std::vector<SimResult> SimulateCellMulti(const CellTrace& cell,
+                                         std::span<const PredictorSpec> specs,
+                                         const SimOptions& options) {
+  CRF_CHECK_GT(cell.num_intervals, 0);
+  if (specs.empty()) {
+    return {};
+  }
+  // One trace pass per machine for the whole grid: the SweepBank answers
+  // every spec per tick.
+  const SweepPlan plan(specs);
+  const int num_specs = plan.num_specs();
+  std::vector<SimResult> results(num_specs);
+  for (int s = 0; s < num_specs; ++s) {
+    results[s].cell_name = cell.name;
+    results[s].predictor_name = specs[s].Name();
+    results[s].machines.resize(cell.num_machines());
+  }
+  std::vector<std::vector<double>> savings =
+      RunCell(cell, num_specs, options,
+              [&](int /*slot*/, int m, std::vector<double>* limit,
+                  std::span<std::vector<double>> predictions) {
+                SweepBank& bank = SimWorkspace::ThreadLocal().GetSweepBank(plan);
+                bank.BeginMachine();
+                const std::span<const RiskAccumulator> risk =
+                    RunMachine(cell, m, options, bank, num_specs, limit, predictions);
+                for (int s = 0; s < num_specs; ++s) {
+                  FinalizeMachineMetrics(risk[s], m, cell.num_intervals,
+                                         results[s].machines[m]);
+                }
+              });
+  for (int s = 0; s < num_specs; ++s) {
+    results[s].cell_savings_series = std::move(savings[s]);
   }
   return results;
 }

@@ -7,18 +7,21 @@
 // (U_i[t], t >= tau) and compares. Scheduling decisions are NOT simulated:
 // placements come fixed from the trace, exactly as in the paper's simulator.
 //
-// The engine is a fused, allocation-free pass per machine: arrival and
-// departure event lists are derived once, the resident set and its limit sum
-// are maintained incrementally (work happens only at events, not every
-// interval), and all scratch lives in a thread-local SimWorkspace. Cell
-// aggregation uses per-thread partial series reduced once after the parallel
-// join. The peak oracle — which depends only on (cell, machine, horizon),
+// The engine is a fused, allocation-free pass per machine: one MachineRoster
+// (crf/trace/machine_events.h, the roster walk the streaming EventLog steps
+// too) maintains the resident set and its limit sum incrementally (work
+// happens only at events, not every interval), one tick loop serves a single
+// predictor and a whole SweepBank grid alike, and all scratch lives in a
+// thread-local SimWorkspace. Cell aggregation uses per-thread partial series
+// reduced once after the parallel join. The peak oracle — which depends only on (cell, machine, horizon),
 // never on the predictor — can be memoized across sweep points through
 // SimOptions::oracle_cache.
 
 #ifndef CRF_SIM_SIMULATOR_H_
 #define CRF_SIM_SIMULATOR_H_
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,6 +53,18 @@ struct SimOptions {
 // predictor instance is created (or pool-reused and Reset) per machine —
 // per-machine state only.
 SimResult SimulateCell(const CellTrace& cell, const PredictorSpec& spec,
+                       const SimOptions& options = {});
+
+// Builds a fresh predictor: the way to evaluate a PeakPredictor subclass
+// that no PredictorSpec describes.
+using PredictorFactory = std::function<std::unique_ptr<PeakPredictor>()>;
+
+// SimulateCell for a caller-supplied predictor type: each pool slot builds
+// one predictor from `factory` and Reset()s it per machine, so the factory's
+// predictors must honour the PeakPredictor::Reset contract. Runs the same
+// per-machine loop and reduction as the spec overload, so a factory wrapping
+// CreatePredictor(spec) gives bit-identical per-machine metrics.
+SimResult SimulateCell(const CellTrace& cell, const PredictorFactory& factory,
                        const SimOptions& options = {});
 
 // Runs a whole predictor grid over `cell` in ONE trace pass per machine,

@@ -274,6 +274,54 @@ TEST(NetServerProtocolTest, ViolationsDrawErrorAndConnectionClose) {
     EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
     EXPECT_NE(error.find("departure"), std::string::npos) << error;
   }
+  // Batch-content violations OvercommitService::IngestTick rejects; each
+  // applies nothing, draws the service's diagnostic and closes the
+  // connection. Tick 0 of machine 0 (nothing resident, so no departures) is
+  // its valid batch with the fault's events put in front or appended.
+  const auto synthetic = [](StreamEventKind kind) {
+    StreamEvent event;
+    event.kind = kind;
+    event.task_index = 999999;
+    event.tick = 0;
+    event.task_id = 999999;
+    event.usage = kind == StreamEventKind::kUsageSample ? 0.1 : 0.0;
+    event.limit = 0.5;
+    return event;
+  };
+  struct Fault {
+    std::vector<StreamEvent> events;
+    bool in_front;
+    const char* error;
+  };
+  const std::vector<Fault> faults = {
+      // An arrival already resident (its first copy arrived just before).
+      {{synthetic(StreamEventKind::kTaskArrival), synthetic(StreamEventKind::kTaskArrival)},
+       true,
+       "already resident"},
+      // A usage sample for no resident task.
+      {{synthetic(StreamEventKind::kUsageSample)}, false, "do not match"},
+      // An arrival after a sample.
+      {{synthetic(StreamEventKind::kUsageSample), synthetic(StreamEventKind::kTaskArrival)},
+       false,
+       "canonical order"},
+  };
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.error);
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    IngestBatchRequest request;
+    request.machine = 0;
+    request.from_tick = 0;
+    request.until_tick = 1;
+    request.window_until = cell.num_intervals;
+    EventLog::MachineCursor cursor = log.CreateCursor(0);
+    cursor.EmitTick(0, request.events);
+    request.events.insert(fault.in_front ? request.events.begin() : request.events.end(),
+                          fault.events.begin(), fault.events.end());
+    EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
+    EXPECT_NE(error.find(fault.error), std::string::npos) << error;
+    EXPECT_FALSE(client.CellQuery(&error).has_value());
+  }
   {
     // Raw garbage bytes: not a CRFNET1 frame, connection dropped, no crash.
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

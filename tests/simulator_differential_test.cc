@@ -308,6 +308,66 @@ TEST_P(SimulatorDifferentialTest, FusedMatchesNaiveReference) {
   EXPECT_GT(cache.hits(), 0) << "second pass should hit the cache";
 }
 
+void ExpectMetricsBitIdentical(const MachineMetrics& actual, const MachineMetrics& expected,
+                               uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                    << " machine=" << expected.machine_index);
+  EXPECT_EQ(actual.machine_index, expected.machine_index);
+  EXPECT_EQ(actual.intervals, expected.intervals);
+  EXPECT_EQ(actual.occupied_intervals, expected.occupied_intervals);
+  EXPECT_EQ(actual.violations, expected.violations);
+  EXPECT_EQ(actual.mean_violation_severity, expected.mean_violation_severity);
+  EXPECT_EQ(actual.savings_ratio, expected.savings_ratio);
+  EXPECT_EQ(actual.mean_prediction, expected.mean_prediction);
+  EXPECT_EQ(actual.mean_limit, expected.mean_limit);
+  EXPECT_EQ(actual.tail.severity_p99, expected.tail.severity_p99);
+  EXPECT_EQ(actual.tail.severity_p999, expected.tail.severity_p999);
+  EXPECT_EQ(actual.tail.max_violation_streak, expected.tail.max_violation_streak);
+  EXPECT_EQ(actual.tail.streak_p99, expected.tail.streak_p99);
+  EXPECT_EQ(actual.tail.streak_p999, expected.tail.streak_p999);
+  EXPECT_EQ(actual.tail.violation_time_fraction, expected.tail.violation_time_fraction);
+  EXPECT_EQ(actual.tail.savings_at_risk, expected.tail.savings_at_risk);
+}
+
+// The factory overload runs the same loop and reduction as the spec
+// overload: a factory wrapping CreatePredictor(spec) gives bit-identical
+// per-machine metrics to SimulateCell(cell, spec), serial and on the pool
+// (each slot's predictor Reset between machines), and a bit-identical cell
+// series when serial.
+TEST_P(SimulatorDifferentialTest, FactoryOverloadIsBitIdenticalToSpec) {
+  const int case_index = GetParam();
+  const uint64_t seed = 1000 + static_cast<uint64_t>(case_index);
+  const CellTrace cell = RandomCell(seed);
+  const PredictorSpec spec = SpecForCase(case_index);
+  const PredictorFactory factory = [&spec] { return CreatePredictor(spec); };
+
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "parallel=" << parallel);
+    SimOptions options;
+    options.parallel = parallel;
+    options.use_total_usage_oracle = case_index % 4 == 3;
+    options.horizon = case_index % 3 == 0 ? 1 : 6;
+    const SimResult expected = SimulateCell(cell, spec, options);
+    const SimResult actual = SimulateCell(cell, factory, options);
+    ASSERT_EQ(actual.machines.size(), expected.machines.size());
+    for (size_t m = 0; m < expected.machines.size(); ++m) {
+      ExpectMetricsBitIdentical(actual.machines[m], expected.machines[m], seed);
+    }
+    if (!parallel) {
+      EXPECT_EQ(actual.cell_savings_series, expected.cell_savings_series);
+    } else {
+      // The pool's machine-to-slot assignment is scheduling-dependent, so
+      // the slot partial sums group differently from run to run.
+      ASSERT_EQ(actual.cell_savings_series.size(), expected.cell_savings_series.size());
+      for (size_t t = 0; t < expected.cell_savings_series.size(); ++t) {
+        EXPECT_NEAR(actual.cell_savings_series[t], expected.cell_savings_series[t], kTol);
+      }
+    }
+    EXPECT_EQ(actual.cell_name, expected.cell_name);
+    EXPECT_EQ(actual.predictor_name, expected.predictor_name);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(FiftyRandomTraces, SimulatorDifferentialTest,
                          ::testing::Range(0, 50));
 

@@ -14,13 +14,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crf/core/predictor_factory.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
 
 namespace crf {
@@ -353,6 +356,125 @@ TEST(StreamReplayPushTest, WindowedPushIsBitIdenticalToAdvanceToEnd) {
     EXPECT_EQ(pushed_metrics.shard(s).sequence, advanced_metrics.shard(s).sequence);
     EXPECT_EQ(pushed_metrics.shard(s).ticks, advanced_metrics.shard(s).ticks);
     EXPECT_EQ(pushed_metrics.shard(s).oracle_chunks, advanced_metrics.shard(s).oracle_chunks);
+  }
+}
+
+// A malformed push is rejected by status, never a CHECK-abort: it returns
+// an error naming the fault, leaves the replayer's checkpoint bytes
+// untouched (no counter, risk record, series entry or roster change), and a
+// following valid push continues to the bit-identical end state.
+TEST(StreamReplayPushTest, MalformedTickIsRejectedWithoutSideEffects) {
+  // Machine 0 at tick 3: task b departs, c arrives, a and d survive, so the
+  // tick has every event kind and a roster of more than one survivor.
+  constexpr Interval kTicks = 12;
+  CellTraceBuilder builder("reject_cell", kTicks, 2);
+  const auto add_task = [&builder](TaskId id, int machine, Interval start, Interval len) {
+    const int32_t index =
+        builder.AddTask(id, id, machine, start, 0.1 * static_cast<double>(id),
+                        SchedulingClass::kLatencySensitive);
+    for (Interval k = 0; k < len; ++k) {
+      builder.AppendUsage(index, static_cast<float>(0.01 * static_cast<double>(id + k)));
+    }
+  };
+  add_task(1, 0, 0, 10);  // a
+  add_task(2, 0, 0, 3);   // b
+  add_task(3, 0, 1, 11);  // d
+  add_task(4, 0, 3, 5);   // c
+  add_task(5, 1, 0, 8);
+  const CellTrace cell = builder.Seal();
+  const PredictorSpec spec = MaxSpec({NSigmaSpec(5.0, 2, 4), RcLikeSpec(99.0, 2, 4)});
+  ReplayOptions options;
+  options.num_shards = 1;
+  options.horizon = 4;
+
+  StreamReplayer advanced(cell, spec, options);
+  advanced.AdvanceToEnd();
+  ByteWriter expected;
+  advanced.SaveStateTo(expected);
+
+  // Every tick's valid batch, per machine.
+  const EventLog log(cell);
+  std::vector<std::vector<std::vector<StreamEvent>>> ticks(cell.num_machines());
+  for (int m = 0; m < cell.num_machines(); ++m) {
+    EventLog::MachineCursor cursor = log.CreateCursor(m);
+    ticks[m].resize(kTicks);
+    for (Interval tau = 0; tau < kTicks; ++tau) {
+      cursor.EmitTick(tau, ticks[m][tau]);
+    }
+  }
+  constexpr Interval kBadTick = 3;
+  const std::vector<StreamEvent>& valid = ticks[0][kBadTick];
+  ASSERT_EQ(valid.size(), 5u);
+  ASSERT_EQ(valid[0].kind, StreamEventKind::kTaskDeparture);
+  ASSERT_EQ(valid[1].kind, StreamEventKind::kTaskArrival);
+  const StreamEvent departure = valid[0];
+  const StreamEvent arrival = valid[1];
+  const StreamEvent first_sample = valid[2];
+
+  const auto with_kind = [](StreamEvent event, StreamEventKind kind) {
+    event.kind = kind;
+    return event;
+  };
+  struct Variant {
+    const char* name;
+    Interval tau;
+    std::function<void(std::vector<StreamEvent>&)> mutate;
+    const char* error;
+  };
+  const std::vector<Variant> variants = {
+      {"departure not resident", kBadTick,
+       [&](std::vector<StreamEvent>& e) {
+         e.insert(e.begin(), with_kind(arrival, StreamEventKind::kTaskDeparture));
+       },
+       "not resident"},
+      {"departure listed twice", kBadTick,
+       [&](std::vector<StreamEvent>& e) { e.insert(e.begin(), departure); }, "listed twice"},
+      {"arrival already resident", kBadTick,
+       [&](std::vector<StreamEvent>& e) {
+         e.insert(e.begin() + 2, with_kind(first_sample, StreamEventKind::kTaskArrival));
+         e.push_back(first_sample);
+       },
+       "already resident"},
+      {"missing sample", kBadTick, [](std::vector<StreamEvent>& e) { e.pop_back(); },
+       "do not match"},
+      {"extra sample", kBadTick, [&](std::vector<StreamEvent>& e) { e.push_back(first_sample); },
+       "do not match"},
+      {"reordered samples", kBadTick,
+       [](std::vector<StreamEvent>& e) { std::swap(e[2], e[3]); }, "do not match"},
+      {"arrival after a sample", kBadTick,
+       [](std::vector<StreamEvent>& e) { std::swap(e[1], e[2]); }, "canonical order"},
+      {"tick at the last tick", kBadTick - 1, [](std::vector<StreamEvent>&) {},
+       "last ingested tick"},
+      {"tick before the last tick", 0, [](std::vector<StreamEvent>&) {}, "last ingested tick"},
+  };
+
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    StreamReplayer pushed(cell, spec, options);
+    std::string error;
+    for (Interval tau = 0; tau < kBadTick; ++tau) {
+      ASSERT_TRUE(pushed.PushMachineTick(0, tau, ticks[0][tau], &error)) << error;
+    }
+    ByteWriter before;
+    pushed.SaveStateTo(before);
+
+    std::vector<StreamEvent> bad = ticks[0][variant.tau];
+    variant.mutate(bad);
+    EXPECT_FALSE(pushed.PushMachineTick(0, variant.tau, bad, &error));
+    EXPECT_NE(error.find(variant.error), std::string::npos) << error;
+    ByteWriter after;
+    pushed.SaveStateTo(after);
+    EXPECT_EQ(after.bytes(), before.bytes());
+
+    for (int m = 0; m < cell.num_machines(); ++m) {
+      for (Interval tau = m == 0 ? kBadTick : 0; tau < kTicks; ++tau) {
+        ASSERT_TRUE(pushed.PushMachineTick(m, tau, ticks[m][tau], &error)) << error;
+      }
+    }
+    ASSERT_TRUE(pushed.CommitPushedWindow(kTicks));
+    ByteWriter end;
+    pushed.SaveStateTo(end);
+    EXPECT_EQ(end.bytes(), expected.bytes());
   }
 }
 

@@ -2,29 +2,68 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
 namespace crf {
+namespace {
+
+// Index of the first of the n ascending values that is greater than or
+// equal to `value` (kUpper: strictly greater), or n. The probe sequence
+// depends only on n and each step's comparison selects the next base, so
+// the loop compiles to conditional moves instead of data-dependent branches.
+template <bool kUpper>
+size_t Bound(const float* first, size_t n, float value) {
+  const auto before = [value](float v) { return kUpper ? v <= value : v < value; };
+  const float* base = first;
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = before(base[half]) ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - first) + (n == 1 && before(*base));
+}
+
+}  // namespace
 
 IndexableWindow::IndexableWindow(int capacity) : capacity_(capacity) {
   CRF_CHECK_GT(capacity, 0);
   ring_.reserve(capacity);
+  sorted_.reserve(capacity);
 }
 
 void IndexableWindow::Push(float sample) {
   CRF_CHECK(std::isfinite(sample)) << "non-finite usage sample " << sample;
   if (static_cast<int>(ring_.size()) < capacity_) {
     ring_.push_back(sample);
+    sorted_.insert(sorted_.begin() + Bound<true>(sorted_.data(), sorted_.size(), sample),
+                   sample);
   } else {
     const float evicted = ring_[head_];
     ring_[head_] = sample;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    Erase(evicted);
+    // Replace the evicted value by the new one, shifting only the values
+    // ranked between them one slot toward the evicted position.
+    float* const sorted = sorted_.data();
+    const size_t n = sorted_.size();
+    const size_t at = Bound<false>(sorted, n, evicted);
+    CRF_CHECK(at < n && sorted[at] == evicted);
+    if (sample > evicted) {
+      const size_t slot = at + Bound<true>(sorted + at + 1, n - at - 1, sample);
+      std::memmove(sorted + at, sorted + at + 1, (slot - at) * sizeof(float));
+      sorted[slot] = sample;
+    } else if (sample < evicted) {
+      const size_t slot = Bound<true>(sorted, at, sample);
+      std::memmove(sorted + slot + 1, sorted + slot, (at - slot) * sizeof(float));
+      sorted[slot] = sample;
+    } else {
+      sorted[at] = sample;
+    }
     sum_ -= evicted;
   }
-  Insert(sample);
   sum_ += sample;
   if (--pushes_until_sum_refresh_ == 0) {
     pushes_until_sum_refresh_ = kSumRefreshPeriod;
@@ -38,113 +77,26 @@ void IndexableWindow::Push(float sample) {
 
 void IndexableWindow::Clear() {
   ring_.clear();
+  sorted_.clear();
   head_ = 0;
-  chunks_.clear();
-  fenwick_.clear();
   sum_ = 0.0;
   pushes_until_sum_refresh_ = kSumRefreshPeriod;
-}
-
-int IndexableWindow::FindChunk(float value) const {
-  int lo = 0;
-  int hi = static_cast<int>(chunks_.size()) - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi) / 2;
-    if (chunks_[mid].back() < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-void IndexableWindow::Insert(float value) {
-  if (chunks_.empty()) {
-    chunks_.emplace_back();
-    chunks_.back().reserve(kSplitSize);
-    chunks_.back().push_back(value);
-    RebuildFenwick();
-    return;
-  }
-  const int c = FindChunk(value);
-  std::vector<float>& chunk = chunks_[c];
-  chunk.insert(std::upper_bound(chunk.begin(), chunk.end(), value), value);
-  if (static_cast<int>(chunk.size()) < kSplitSize) {
-    FenwickAdd(c, 1);
-    return;
-  }
-  // Split into two half chunks; indices shift, so rebuild the tree.
-  std::vector<float> upper;
-  upper.reserve(kSplitSize);
-  upper.assign(chunk.begin() + kSplitSize / 2, chunk.end());
-  chunk.resize(kSplitSize / 2);
-  chunks_.insert(chunks_.begin() + c + 1, std::move(upper));
-  RebuildFenwick();
-}
-
-void IndexableWindow::Erase(float value) {
-  CRF_CHECK(!chunks_.empty());
-  const int c = FindChunk(value);
-  std::vector<float>& chunk = chunks_[c];
-  const auto it = std::lower_bound(chunk.begin(), chunk.end(), value);
-  CRF_CHECK(it != chunk.end() && *it == value);
-  chunk.erase(it);
-  if (chunk.empty()) {
-    chunks_.erase(chunks_.begin() + c);
-    RebuildFenwick();
-  } else {
-    FenwickAdd(c, -1);
-  }
-}
-
-float IndexableWindow::AtRank(int k) const {
-  const int n = static_cast<int>(chunks_.size());
-  // Descend the Fenwick tree for the largest prefix of chunks holding <= k
-  // values; the target then sits inside the next chunk.
-  int pos = 0;
-  int remaining = k + 1;
-  int step = 1;
-  while (step * 2 <= n) {
-    step *= 2;
-  }
-  for (; step > 0; step /= 2) {
-    if (pos + step <= n && fenwick_[pos + step] < remaining) {
-      pos += step;
-      remaining -= fenwick_[pos];
-    }
-  }
-  return chunks_[pos][remaining - 1];
-}
-
-void IndexableWindow::RebuildFenwick() {
-  const int n = static_cast<int>(chunks_.size());
-  fenwick_.assign(n + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    FenwickAdd(i, static_cast<int>(chunks_[i].size()));
-  }
-}
-
-void IndexableWindow::FenwickAdd(int chunk_index, int delta) {
-  for (int i = chunk_index + 1; i < static_cast<int>(fenwick_.size()); i += i & -i) {
-    fenwick_[i] += delta;
-  }
 }
 
 double IndexableWindow::Percentile(double p) const {
   CRF_CHECK(!ring_.empty());
   CRF_CHECK_GE(p, 0.0);
   CRF_CHECK_LE(p, 100.0);
-  const int count = static_cast<int>(ring_.size());
+  const int count = static_cast<int>(sorted_.size());
   if (count == 1) {
-    return AtRank(0);
+    return sorted_[0];
   }
   const double rank = p / 100.0 * static_cast<double>(count - 1);
   const int lo = static_cast<int>(rank);
   const int hi = std::min(lo + 1, count - 1);
   const double frac = rank - static_cast<double>(lo);
-  const float lo_value = AtRank(lo);
-  const float hi_value = hi == lo ? lo_value : AtRank(hi);
+  const float lo_value = sorted_[lo];
+  const float hi_value = sorted_[hi];
   return lo_value + frac * (hi_value - lo_value);
 }
 
@@ -159,10 +111,6 @@ void IndexableWindow::SaveState(ByteWriter& out) const {
   out.Write<int32_t>(capacity_);
   out.Write<int32_t>(head_);
   out.WriteVec(ring_);
-  out.Write<uint64_t>(chunks_.size());
-  for (const std::vector<float>& chunk : chunks_) {
-    out.WriteVec(chunk);
-  }
   out.Write<double>(sum_);
   out.Write<int32_t>(pushes_until_sum_refresh_);
 }
@@ -174,58 +122,24 @@ bool IndexableWindow::LoadState(ByteReader& in) {
   if (!in.ReadVec(ring, static_cast<uint64_t>(capacity_))) {
     return false;
   }
-  const uint64_t num_chunks = in.Read<uint64_t>();
-  if (!in.ok() || capacity != capacity_ || num_chunks > ring.size() ||
-      static_cast<int>(ring.size()) > capacity_ || head < 0 ||
-      (ring.size() < static_cast<size_t>(capacity_) ? head != 0 : head >= capacity_)) {
-    in.Fail();
-    return false;
-  }
-  std::vector<std::vector<float>> chunks(num_chunks);
-  std::vector<float> ordered;
-  ordered.reserve(ring.size());
-  for (size_t c = 0; c < num_chunks; ++c) {
-    std::vector<float>& chunk = chunks[c];
-    if (!in.ReadVec(chunk, static_cast<uint64_t>(kSplitSize))) {
-      return false;
-    }
-    // Chunks are non-empty, internally sorted, and value-ordered across
-    // chunk boundaries — the invariants FindChunk's binary search relies on.
-    if (chunk.empty() || !std::is_sorted(chunk.begin(), chunk.end()) ||
-        (c > 0 && chunks[c - 1].back() > chunk.front()) ||
-        ordered.size() + chunk.size() > ring.size()) {
-      in.Fail();
-      return false;
-    }
-    ordered.insert(ordered.end(), chunk.begin(), chunk.end());
-  }
-  // The chunk partition must hold exactly the ring's samples, or a later
-  // eviction would fail an internal invariant check instead of this load
-  // being cleanly rejected.
-  std::vector<float> sorted_ring = ring;
-  std::sort(sorted_ring.begin(), sorted_ring.end());
-  if (ordered != sorted_ring) {
-    in.Fail();
-    return false;
-  }
   const double sum = in.Read<double>();
   const int32_t refresh = in.Read<int32_t>();
-  if (!in.ok() || !std::isfinite(sum) || refresh <= 0 || refresh > kSumRefreshPeriod) {
+  const bool full = ring.size() == static_cast<size_t>(capacity_);
+  // Every sample must be finite like a pushed one, or the sorted mirror
+  // would lose its order and a later eviction would fail an internal
+  // invariant check instead of this load being cleanly rejected.
+  if (!in.ok() || capacity != capacity_ || head < 0 || (full ? head >= capacity_ : head != 0) ||
+      !std::all_of(ring.begin(), ring.end(), [](float v) { return std::isfinite(v); }) ||
+      !std::isfinite(sum) || refresh <= 0 || refresh > kSumRefreshPeriod) {
     in.Fail();
     return false;
   }
-  for (const float v : ring) {
-    if (!std::isfinite(v)) {
-      in.Fail();
-      return false;
-    }
-  }
-  ring_ = std::move(ring);
+  ring_.assign(ring.begin(), ring.end());
+  sorted_.assign(ring.begin(), ring.end());
+  std::sort(sorted_.begin(), sorted_.end());
   head_ = head;
-  chunks_ = std::move(chunks);
   sum_ = sum;
   pushes_until_sum_refresh_ = refresh;
-  RebuildFenwick();
   return true;
 }
 

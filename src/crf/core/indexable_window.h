@@ -1,20 +1,17 @@
-// A bounded moving window of float samples with logarithmic-time order
+// A bounded moving window of float samples with constant-time order
 // statistics: the storage layer under TaskHistory and the sweep engine's
 // shared per-task percentile windows.
 //
 // The window keeps two views of the same samples:
 //  * a ring buffer in arrival order (eviction, Latest);
-//  * a value-ordered sequence of small sorted chunks indexed by a Fenwick
-//    tree over chunk sizes, so rank selection descends the tree instead of
-//    scanning, and insert/erase touch one chunk instead of memmoving an
-//    O(window) sorted mirror.
+//  * a flat ascending mirror, so rank selection is one array read.
 //
-// Insert/erase: binary search over chunk maxima to find the target chunk,
-// O(chunk) movement within it, a Fenwick point update, and an occasional
-// chunk split (amortized O(chunks) rebuild). Rank selection: one Fenwick
-// descent plus a direct chunk index. A running sum makes Mean() O(1); pushes
-// periodically recompute it exactly so incremental drift stays below any
-// tolerance the simulator works at.
+// A full-window push finds the evicted value and the new value's slot with
+// branch-free binary searches, then shifts only the values ranked between
+// the two with one memmove: O(log w + rank distance), a few cache lines for
+// the predictors' windows of tens to about a hundred samples. A running sum
+// makes Mean() O(1); pushes periodically recompute it exactly so incremental
+// drift stays below any tolerance the simulator works at.
 
 #ifndef CRF_CORE_INDEXABLE_WINDOW_H_
 #define CRF_CORE_INDEXABLE_WINDOW_H_
@@ -32,7 +29,7 @@ class IndexableWindow {
   explicit IndexableWindow(int capacity);
 
   // Appends a sample, evicting the oldest if the window is full. Rejects
-  // non-finite samples: a NaN would poison the value-ordered index (NaN
+  // non-finite samples: a NaN would poison the value-ordered mirror (NaN
   // compares false against everything) and surface only much later as a
   // failed eviction lookup.
   void Push(float sample);
@@ -55,43 +52,24 @@ class IndexableWindow {
   // Newest sample; requires non-empty.
   float Latest() const;
 
-  // Checkpoint support (crf/serve): serializes the COMPLETE internal state —
-  // ring, chunk partition, running sum, and refresh countdown — so a
-  // restored window continues bit-identically to the uninterrupted one
-  // (future chunk splits and sum drift depend on more than the sample
-  // multiset). LoadState validates every structural invariant and returns
-  // false (leaving the reader failed) on any mismatch, including a stored
-  // capacity different from this window's.
+  // Checkpoint support (crf/serve): serializes the ring, the running sum and
+  // the refresh countdown — the sum's drift depends on more than the sample
+  // multiset, so a restored window continues bit-identically to the
+  // uninterrupted one. The sorted mirror is derived and rebuilt on load.
+  // LoadState validates every field and returns false (leaving the reader
+  // failed) on any mismatch, including a stored capacity different from
+  // this window's.
   void SaveState(ByteWriter& out) const;
   bool LoadState(ByteReader& in);
 
  private:
-  // Chunks are split in half when they reach this size, so steady-state
-  // chunks hold kSplitSize/2 .. kSplitSize-1 values.
-  static constexpr int kSplitSize = 64;
   // Pushes between exact recomputations of the running sum.
   static constexpr int kSumRefreshPeriod = 1 << 15;
-
-  // Index of the chunk a value lives in (for erase) or belongs in (for
-  // insert): the first chunk whose max is >= value, clamped to the last.
-  int FindChunk(float value) const;
-  void Insert(float value);
-  void Erase(float value);
-  // Value at 0-based rank k of the ordered window.
-  float AtRank(int k) const;
-
-  void RebuildFenwick();
-  void FenwickAdd(int chunk_index, int delta);
 
   int capacity_;
   int head_ = 0;  // Index of the oldest sample once the ring is full.
   std::vector<float> ring_;
-
-  // Value-ordered sorted chunks and the Fenwick tree (1-based, over chunk
-  // sizes). The tree is point-updated on insert/erase and rebuilt on the
-  // rare structural changes (chunk split, empty-chunk removal).
-  std::vector<std::vector<float>> chunks_;
-  std::vector<int32_t> fenwick_;
+  std::vector<float> sorted_;  // ring_'s samples in ascending order.
 
   double sum_ = 0.0;
   int pushes_until_sum_refresh_ = kSumRefreshPeriod;

@@ -1,10 +1,10 @@
-// Bounded per-task usage history with O(log n) percentile access.
+// Bounded per-task usage history with O(1) percentile access.
 //
 // The node agent "only maintains a moving window storing the most recent
-// samples" per task (Section 4). TaskHistory is that window, backed by the
-// Fenwick-indexed chunked IndexableWindow: pushes cost a chunk insert plus a
-// Fenwick point update instead of an O(window) sorted-vector memmove, the
-// RC-like predictor's per-poll percentile is two rank selections and one
+// samples" per task (Section 4). TaskHistory is that window, backed by
+// IndexableWindow's flat sorted mirror: a push replaces the evicted value in
+// place, shifting only the values ranked between it and the new sample, the
+// RC-like predictor's per-poll percentile is two array reads and one
 // interpolation, and the mean is a running sum. Non-finite samples are
 // rejected at Push (a NaN would silently corrupt the ordered index and only
 // trip the eviction check a full window later).

@@ -12,11 +12,10 @@ namespace crf {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'R', 'F', 'C', 'K', 'P', 'T', '1'};
-// Version 2: the spec encoding gained the chance-constrained `target` knob
-// and per-machine payloads carry full RiskAccumulator state (tail quantile
-// estimators) instead of six scalar counters. Version-1 files are rejected
-// with a clear error rather than misparsed.
-constexpr uint32_t kVersion = 2;
+// Version 3: a usage window's state is its ring, running sum and refresh
+// countdown; the value-ordered view is rebuilt on load. Files of any other
+// version are rejected with a clear error rather than misparsed.
+constexpr uint32_t kVersion = 3;
 constexpr uint64_t kMaxNameLength = 4096;
 constexpr uint64_t kMaxSpecLength = 1 << 20;
 constexpr uint64_t kMaxPayloadLength = uint64_t{1} << 40;

@@ -1,14 +1,15 @@
 // Sliding-window maximum via a monotonic deque.
 //
 // The peak oracle is a windowed maximum of an aggregate usage series; this
-// gives the O(1) amortized primitive. Header-only for inlining on the oracle
-// hot path.
+// gives the O(1) amortized primitive. The deque is a vector plus a head
+// index, so a reused instance allocates nothing once it has grown to its
+// high-water size. Header-only for inlining on the oracle hot path.
 
 #ifndef CRF_STATS_WINDOW_MAX_H_
 #define CRF_STATS_WINDOW_MAX_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -22,34 +23,47 @@ class MonotonicMaxDeque {
  public:
   // Pushes (index, value); indices must be nondecreasing across pushes.
   void Push(int64_t index, double value) {
-    while (!deque_.empty() && deque_.back().value <= value) {
-      deque_.pop_back();
+    while (entries_.size() > head_ && entries_.back().value <= value) {
+      entries_.pop_back();
     }
-    deque_.push_back({index, value});
+    entries_.push_back({index, value});
   }
 
   // Drops entries with index < min_index.
   void ExpireBelow(int64_t min_index) {
-    while (!deque_.empty() && deque_.front().index < min_index) {
-      deque_.pop_front();
+    while (head_ < entries_.size() && entries_[head_].index < min_index) {
+      ++head_;
+    }
+    // Once the dead prefix outgrows the live entries, slide the live ones to
+    // the front, so a caller that never calls Clear() holds O(live) entries.
+    // A compaction moves fewer entries than it drops: amortized O(1) a push.
+    if (2 * head_ > entries_.size()) {
+      entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
   }
 
-  bool empty() const { return deque_.empty(); }
+  bool empty() const { return head_ == entries_.size(); }
 
   double Max() const {
-    CRF_CHECK(!deque_.empty());
-    return deque_.front().value;
+    CRF_CHECK(!empty());
+    return entries_[head_].value;
   }
 
-  void Clear() { deque_.clear(); }
+  void Clear() {
+    entries_.clear();
+    head_ = 0;
+  }
 
  private:
   struct Entry {
     int64_t index;
     double value;
   };
-  std::deque<Entry> deque_;
+  // Live entries are entries_[head_ ..], in increasing index and strictly
+  // decreasing value order.
+  std::vector<Entry> entries_;
+  size_t head_ = 0;
 };
 
 // Computes out[i] = max(values[i .. min(i+window-1, n-1)]) for each i — the

@@ -70,9 +70,10 @@ class NaiveWindow {
   std::deque<float> ring_;
 };
 
-// Sample streams with heavy duplicates and plateaus: equal values across
-// chunk boundaries are exactly where the chunked index's erase/insert
-// tie-handling can go wrong.
+// Sample streams with heavy duplicates and plateaus: runs of equal values are
+// exactly where the sorted mirror's evict-and-shift tie-handling can go
+// wrong (the evicted copy and the new slot must land inside or at the edge
+// of a run).
 float NextSample(Rng& rng) {
   const double shape = rng.UniformDouble();
   if (shape < 0.4) {
@@ -154,7 +155,75 @@ TEST_P(IndexableWindowStressTest, SaveLoadMidChurnContinuesBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, IndexableWindowStressTest,
-                         ::testing::Values(1, 2, 7, 63, 64, 65, 200, 1024));
+                         ::testing::Values(1, 2, 7, 24, 63, 64, 65, 120, 200, 1024, 8640));
+
+// Hand-built window state in the checkpoint encoding: capacity, head, ring,
+// running sum, refresh countdown.
+std::vector<uint8_t> WindowState(int32_t capacity, int32_t head, const std::vector<float>& ring,
+                                 double sum, int32_t refresh) {
+  ByteWriter writer;
+  writer.Write<int32_t>(capacity);
+  writer.Write<int32_t>(head);
+  writer.WriteVec(ring);
+  writer.Write<double>(sum);
+  writer.Write<int32_t>(refresh);
+  return writer.bytes();
+}
+
+void ExpectLoadRejected(int capacity, const std::vector<uint8_t>& bytes) {
+  IndexableWindow window(capacity);
+  ByteReader reader(bytes);
+  EXPECT_FALSE(window.LoadState(reader));
+  EXPECT_FALSE(reader.ok());
+}
+
+TEST(IndexableWindowStateTest, HandBuiltStateLoadsAndRebuildsOrder) {
+  // A full ring whose oldest sample sits at index 1: arrival order 1, 4, 3.
+  IndexableWindow window(3);
+  const std::vector<uint8_t> bytes = WindowState(3, 1, {3.0f, 1.0f, 4.0f}, 8.0, 1 << 15);
+  ByteReader reader(bytes);
+  ASSERT_TRUE(window.LoadState(reader));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(window.Latest(), 3.0f);
+  EXPECT_EQ(window.Percentile(0.0), 1.0);
+  EXPECT_EQ(window.Percentile(50.0), 3.0);
+  EXPECT_EQ(window.Percentile(100.0), 4.0);
+  // The next push evicts the oldest sample (1) from the rebuilt order.
+  window.Push(2.0f);
+  EXPECT_EQ(window.Percentile(0.0), 2.0);
+  EXPECT_EQ(window.Mean(), 3.0);
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsStoredCapacityMismatch) {
+  ExpectLoadRejected(4, WindowState(5, 0, {1.0f, 2.0f}, 3.0, 7));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsRingLongerThanCapacity) {
+  ExpectLoadRejected(2, WindowState(2, 0, {1.0f, 2.0f, 3.0f}, 6.0, 7));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsHeadOutOfRange) {
+  // A partial ring must start at 0; a full ring's head must index it.
+  ExpectLoadRejected(4, WindowState(4, 1, {1.0f, 2.0f}, 3.0, 7));
+  ExpectLoadRejected(2, WindowState(2, 2, {1.0f, 2.0f}, 3.0, 7));
+  ExpectLoadRejected(2, WindowState(2, -1, {1.0f, 2.0f}, 3.0, 7));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsNonFiniteRingValue) {
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, std::nanf("")}, 1.0, 7));
+  ExpectLoadRejected(3, WindowState(3, 0, {INFINITY, 1.0f}, 1.0, 7));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsNonFiniteSum) {
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, 2.0f}, std::nan(""), 7));
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, 2.0f}, -INFINITY, 7));
+}
+
+TEST(IndexableWindowStateTest, LoadRejectsRefreshCountdownOutOfRange) {
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, 2.0f}, 3.0, 0));
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, 2.0f}, 3.0, -5));
+  ExpectLoadRejected(3, WindowState(3, 0, {1.0f, 2.0f}, 3.0, (1 << 15) + 1));
+}
 
 TEST(IndexableWindowStateTest, LoadRejectsCapacityMismatch) {
   IndexableWindow window(16);

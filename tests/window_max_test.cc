@@ -75,5 +75,48 @@ TEST_P(ForwardWindowMaxPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomArrays, ForwardWindowMaxPropertyTest, ::testing::Range(0, 16));
 
+// One deque and output buffer reused across calls of varying length and
+// window, as the oracle scratch does: no state may leak between calls.
+TEST(ForwardWindowMaxTest, ReusedScratchMatchesBruteForce) {
+  Rng rng(7);
+  MonotonicMaxDeque deque;
+  std::vector<double> out;
+  for (int call = 0; call < 200; ++call) {
+    const int n = static_cast<int>(rng.UniformInt(call % 10 == 0 ? 2000 : 120));
+    const int64_t window = 1 + static_cast<int64_t>(rng.UniformInt(call % 3 == 0 ? 300 : 12));
+    std::vector<double> v;
+    for (int i = 0; i < n; ++i) {
+      // Coarse values so equal neighbours are common.
+      v.push_back(static_cast<double>(rng.UniformInt(6)));
+    }
+    ForwardWindowMaxInto(v, window, deque, out);
+    ASSERT_EQ(out, BruteForceForwardMax(v, window)) << "call=" << call;
+  }
+}
+
+// A long push/expire stream with no Clear(): the expired prefix is compacted
+// away many times over, through rising runs (every push empties the live
+// entries), falling runs (the live entries span the window) and a window
+// width that grows and shrinks.
+TEST(MonotonicMaxDequeTest, LongStreamWithoutClearMatchesBruteForce) {
+  Rng rng(2024);
+  MonotonicMaxDeque deque;
+  std::vector<double> values;
+  int64_t low = 0;
+  for (int64_t i = 0; i < 50000; ++i) {
+    const int64_t phase = (i / 1000) % 3;
+    const double value = phase == 0   ? static_cast<double>(i % 1000)
+                         : phase == 1 ? -static_cast<double>(i % 1000)
+                                      : rng.Uniform(-5.0, 5.0);
+    values.push_back(value);
+    deque.Push(i, value);
+    const int64_t width = 1 + (i / 700) % 80;
+    low = std::max(low, i + 1 - width);
+    deque.ExpireBelow(low);
+    ASSERT_FALSE(deque.empty());
+    ASSERT_EQ(deque.Max(), *std::max_element(values.begin() + low, values.end())) << "i=" << i;
+  }
+}
+
 }  // namespace
 }  // namespace crf

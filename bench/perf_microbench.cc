@@ -28,7 +28,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -356,154 +355,12 @@ BENCHMARK(BM_SchedulerPlace)
     ->Args({8192, 1});
 
 // ---------------------------------------------------------------------------
-// Trace layout: columnar arena vs the pre-refactor per-task-vector layout.
+// Trace layout: full-cell machine scans over the columnar arena.
 //
-// AosTrace reconstructs the old array-of-structs representation (one heap
-// vector of usage per task, one heap vector of task indices per machine) so
-// the machine-scan throughput of the two layouts can be compared on identical
-// data. The arena side streams through MachineSeriesCursor; the AoS side is
-// the old per-call MachineUsageSeries (allocate an interval-length vector,
-// walk every resident task's own heap buffer).
-
-struct AosTask {
-  Interval start = 0;
-  double limit = 0.0;
-  std::vector<float> usage;
-};
-
-struct AosTrace {
-  Interval num_intervals = 0;
-  std::vector<AosTask> tasks;
-  std::vector<std::vector<int32_t>> machine_tasks;
-
-  explicit AosTrace(const CellTrace& cell) : num_intervals(cell.num_intervals) {
-    tasks.resize(static_cast<size_t>(cell.num_tasks()));
-    for (int32_t i = 0; i < cell.num_tasks(); ++i) {
-      const TaskView task = cell.task(i);
-      tasks[i].start = task.start();
-      tasks[i].limit = task.limit();
-    }
-    // Replay the pre-refactor growth pattern: one usage sample appended per
-    // resident task per interval, so every task's vector grows interleaved
-    // with every other's. This reproduces the fragmented heap the old
-    // generator and cluster sim actually left behind, rather than the
-    // artificially compact layout a bulk copy would produce.
-    std::vector<int32_t> by_start(static_cast<size_t>(cell.num_tasks()));
-    std::iota(by_start.begin(), by_start.end(), 0);
-    const std::span<const Interval> starts = cell.task_starts();
-    std::sort(by_start.begin(), by_start.end(),
-              [starts](int32_t a, int32_t b) { return starts[a] < starts[b]; });
-    std::vector<int32_t> active;
-    size_t next = 0;
-    for (Interval t = 0; t < num_intervals; ++t) {
-      while (next < by_start.size() && starts[by_start[next]] <= t) {
-        active.push_back(by_start[next++]);
-      }
-      for (size_t a = 0; a < active.size();) {
-        const int32_t i = active[a];
-        const std::span<const float> usage = cell.task(i).usage();
-        const size_t k = tasks[i].usage.size();
-        if (k < usage.size()) {
-          tasks[i].usage.push_back(usage[k]);
-          ++a;
-        } else {
-          active[a] = active.back();
-          active.pop_back();
-        }
-      }
-    }
-    for (int32_t i = 0; i < cell.num_tasks(); ++i) {  // Samples past the trace end.
-      const std::span<const float> usage = cell.task(i).usage();
-      for (size_t k = tasks[i].usage.size(); k < usage.size(); ++k) {
-        tasks[i].usage.push_back(usage[k]);
-      }
-    }
-    machine_tasks.resize(cell.num_machines());
-    for (int m = 0; m < cell.num_machines(); ++m) {
-      const std::span<const int32_t> row = cell.machine_tasks(m);
-      machine_tasks[m].assign(row.begin(), row.end());
-    }
-  }
-
-  // The old CellTrace::MachineUsageSeries, verbatim shape: a fresh output
-  // allocation per call and a per-task rescan over [start, end).
-  std::vector<double> MachineUsageSeries(int machine_index) const {
-    std::vector<double> series(num_intervals, 0.0);
-    for (const int32_t task_index : machine_tasks[machine_index]) {
-      const AosTask& task = tasks[task_index];
-      const Interval end =
-          std::min(task.start + static_cast<Interval>(task.usage.size()), num_intervals);
-      for (Interval t = std::max<Interval>(task.start, 0); t < end; ++t) {
-        series[t] += task.usage[t - task.start];
-      }
-    }
-    return series;
-  }
-
-  Interval Departure(const AosTask& task) const {
-    const Interval end = task.start + static_cast<Interval>(task.usage.size());
-    return std::max(end, task.start + 1);
-  }
-
-  // The old CellTrace::MachineLimitSeries shape: another allocation and
-  // another full per-task pass over the same index.
-  std::vector<double> MachineLimitSeries(int machine_index) const {
-    std::vector<double> series(num_intervals, 0.0);
-    for (const int32_t task_index : machine_tasks[machine_index]) {
-      const AosTask& task = tasks[task_index];
-      const Interval end = std::min(Departure(task), num_intervals);
-      for (Interval t = std::max<Interval>(task.start, 0); t < end; ++t) {
-        series[t] += task.limit;
-      }
-    }
-    return series;
-  }
-
-  // And a third pass for the resident count.
-  std::vector<int32_t> MachineResidentCount(int machine_index) const {
-    std::vector<int32_t> series(num_intervals, 0);
-    for (const int32_t task_index : machine_tasks[machine_index]) {
-      const AosTask& task = tasks[task_index];
-      const Interval end = std::min(Departure(task), num_intervals);
-      for (Interval t = std::max<Interval>(task.start, 0); t < end; ++t) {
-        ++series[t];
-      }
-    }
-    return series;
-  }
-
-  int64_t HeapBytes() const {
-    int64_t bytes = static_cast<int64_t>(tasks.capacity() * sizeof(AosTask));
-    for (const AosTask& task : tasks) {
-      bytes += static_cast<int64_t>(task.usage.capacity() * sizeof(float));
-    }
-    bytes += static_cast<int64_t>(machine_tasks.capacity() * sizeof(std::vector<int32_t>));
-    for (const std::vector<int32_t>& row : machine_tasks) {
-      bytes += static_cast<int64_t>(row.capacity() * sizeof(int32_t));
-    }
-    return bytes;
-  }
-};
-
-// Full-cell machine scan: the per-interval (usage sum, limit sum, resident
-// count) triple for every machine — exactly what fig3/fig12/trace_stats
-// consume. The AoS side runs the three pre-refactor helpers (three output
-// allocations, three passes over the scattered heap vectors per machine);
-// the arena side streams all three through one cursor pass over the sealed
-// slab. The checksum keeps both sides honest and unoptimizable.
-double ScanAllMachinesAos(const AosTrace& aos) {
-  double checksum = 0.0;
-  for (size_t m = 0; m < aos.machine_tasks.size(); ++m) {
-    const std::vector<double> usage = aos.MachineUsageSeries(static_cast<int>(m));
-    const std::vector<double> limits = aos.MachineLimitSeries(static_cast<int>(m));
-    const std::vector<int32_t> resident = aos.MachineResidentCount(static_cast<int>(m));
-    for (Interval t = 0; t < aos.num_intervals; ++t) {
-      checksum += usage[t] + limits[t] + static_cast<double>(resident[t]);
-    }
-  }
-  return checksum;
-}
-
+// The per-interval (usage sum, limit sum, resident count) triple for every
+// machine — exactly what fig3/fig12/trace_stats consume — streamed through
+// one MachineSeriesCursor pass over the sealed slab. The checksum keeps the
+// scan unoptimizable.
 double ScanAllMachinesArena(const CellTrace& cell, MachineSeriesCursor& cursor) {
   double checksum = 0.0;
   for (int m = 0; m < cell.num_machines(); ++m) {
@@ -515,16 +372,13 @@ double ScanAllMachinesArena(const CellTrace& cell, MachineSeriesCursor& cursor) 
   return checksum;
 }
 
-// Arg(0) = 0: per-task-vector AoS layout; Arg(0) = 1: columnar arena via the
-// streaming cursor. The machine_scans_per_second ratio between the two rows
-// is the layout speedup tracked in BENCH_trace.json.
+// machine_scans_per_second is the arena scan rate tracked in
+// BENCH_trace.json.
 void BM_TraceLayout(benchmark::State& state) {
   const CellTrace& cell = SweepCell();
-  const bool arena = state.range(0) != 0;
-  const AosTrace aos(cell);
   MachineSeriesCursor cursor(cell);
   for (auto _ : state) {
-    const double checksum = arena ? ScanAllMachinesArena(cell, cursor) : ScanAllMachinesAos(aos);
+    const double checksum = ScanAllMachinesArena(cell, cursor);
     benchmark::DoNotOptimize(checksum);
   }
   const double machine_scans =
@@ -534,7 +388,7 @@ void BM_TraceLayout(benchmark::State& state) {
   state.counters["intervals_per_second"] = benchmark::Counter(
       machine_scans * static_cast<double>(cell.num_intervals), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TraceLayout)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceLayout)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Thread-matrix helpers shared by the cluster and stream recorders.
@@ -1102,19 +956,18 @@ void RecordSweepBench() {
 // 16-machine half-week cell, "full" a 64-machine fortnight (long enough
 // that the arena's bulk dwarfs the per-task metadata a mapped open
 // faults in, so the residency ratio below is a clean order-of-magnitude
-// signal). Times full-cell
-// machine scans through the pre-refactor per-task-vector AoS layout against
-// the columnar arena + MachineSeriesCursor on identical data, and records
-// the resident footprint of each layout in bytes per task-interval. v2 adds
-// the load-path comparison: the cell is saved as a binary .crftrace and
-// opened both ways — heap (one fread of the whole arena) and mmap
-// (zero-copy) — recording per-mode load time and the process-RSS growth of
-// the open, before anything touches the samples. A heap load materializes
-// the whole arena; the mapped open only faults the metadata slabs the
-// validator reads, so both ratios are the tracked order-of-magnitude proof
-// of the zero-copy claim. The record lands
-// in $CRF_BENCH_TRACE_FILE (default ./BENCH_trace.json) as
-// {"schema":"crf-trace-bench-v2","entries":[...]}; reruns append.
+// signal). Times full-cell machine scans of the columnar arena through
+// MachineSeriesCursor and records the arena's footprint in bytes per
+// task-interval. The cell is also saved as a binary .crftrace and opened
+// both ways — heap (one fread of the whole arena) and mmap (zero-copy) —
+// recording per-mode load time and the process-RSS growth of the open,
+// before anything touches the samples. A heap load materializes the whole
+// arena; the mapped open only faults the metadata slabs the validator
+// reads, so both ratios are the tracked order-of-magnitude proof of the
+// zero-copy claim. v3 drops the array-of-structs comparison columns: that
+// layout is no longer in the library, so they timed a rebuilt copy of dead
+// code. The record lands in $CRF_BENCH_TRACE_FILE (default ./BENCH_trace.json) as
+// {"schema":"crf-trace-bench-v3","entries":[...]}; reruns append.
 
 void RecordTraceBench() {
   const std::string mode = GetEnvString("CRF_TRACE_BENCH", "short");
@@ -1129,62 +982,26 @@ void RecordTraceBench() {
   gen_options.num_intervals = full ? 2 * kIntervalsPerWeek : kIntervalsPerWeek / 2;
   CellTrace cell = GenerateCellTrace(profile, gen_options, Rng(12));
   cell.FilterToServingTasks();
-  const AosTrace aos(cell);
   MachineSeriesCursor cursor(cell);
 
-  // Integrity gate: both layouts must produce the same per-machine usage,
-  // limit, and resident series, or the tracked speedup is comparing
-  // different computations.
-  for (int m = 0; m < cell.num_machines(); ++m) {
-    const std::vector<double> usage = aos.MachineUsageSeries(m);
-    const std::vector<double> limits = aos.MachineLimitSeries(m);
-    const std::vector<int32_t> resident = aos.MachineResidentCount(m);
-    cursor.Reset(m);
-    Interval t = 0;
-    while (cursor.Next()) {
-      if (std::abs(cursor.usage() - usage[t]) > 1e-6 ||
-          std::abs(cursor.limit_sum() - limits[t]) > 1e-6 ||
-          cursor.resident() != resident[t]) {
-        std::fprintf(stderr, "trace bench: layouts diverged (machine %d interval %d)\n", m,
-                     static_cast<int>(t));
-        return;
-      }
-      ++t;
-    }
-    if (t != cell.num_intervals) {
-      std::fprintf(stderr, "trace bench: cursor stopped early (machine %d)\n", m);
-      return;
-    }
-  }
-
-  const auto time_scans = [](auto&& scan) {
-    scan();  // Warm-up: page in the layout before timing.
-    int reps = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double seconds = 0.0;
-    do {
-      double checksum = scan();
-      benchmark::DoNotOptimize(checksum);
-      ++reps;
-      seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    } while (seconds < 0.5);
-    return seconds / reps;
-  };
-  const double aos_seconds = time_scans([&] { return ScanAllMachinesAos(aos); });
-  const double arena_seconds =
-      time_scans([&] { return ScanAllMachinesArena(cell, cursor); });
+  ScanAllMachinesArena(cell, cursor);  // Warm-up: page in the arena before timing.
+  int reps = 0;
+  const auto scan_start = std::chrono::steady_clock::now();
+  double scan_seconds = 0.0;
+  do {
+    double checksum = ScanAllMachinesArena(cell, cursor);
+    benchmark::DoNotOptimize(checksum);
+    ++reps;
+    scan_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - scan_start).count();
+  } while (scan_seconds < 0.5);
+  const double arena_seconds = scan_seconds / reps;
 
   const double scans = static_cast<double>(cell.num_machines());
-  const double speedup = aos_seconds / arena_seconds;
   const int64_t task_intervals = cell.usage_sample_count();
   const double arena_bytes_per_ti =
       task_intervals > 0
           ? static_cast<double>(cell.arena_bytes().size()) / static_cast<double>(task_intervals)
-          : 0.0;
-  const double aos_bytes_per_ti =
-      task_intervals > 0
-          ? static_cast<double>(aos.HeapBytes()) / static_cast<double>(task_intervals)
           : 0.0;
 
   // Load-path comparison: save the cell as a binary trace, then open it
@@ -1280,10 +1097,7 @@ void RecordTraceBench() {
         << "      \"num_intervals\": " << cell.num_intervals << ",\n"
         << "      \"num_tasks\": " << cell.num_tasks() << ",\n"
         << "      \"task_intervals\": " << task_intervals << ",\n"
-        << "      \"aos_machine_scans_per_sec\": " << scans / aos_seconds << ",\n"
         << "      \"arena_machine_scans_per_sec\": " << scans / arena_seconds << ",\n"
-        << "      \"speedup\": " << speedup << ",\n"
-        << "      \"aos_bytes_per_task_interval\": " << aos_bytes_per_ti << ",\n"
         << "      \"arena_bytes_per_task_interval\": " << arena_bytes_per_ti << ",\n"
         << "      \"heap_load_ms\": " << heap_load_ms << ",\n"
         << "      \"mmap_load_ms\": " << mmap_load_ms << ",\n"
@@ -1293,13 +1107,12 @@ void RecordTraceBench() {
         << "    }";
 
   const std::string path = GetEnvString("CRF_BENCH_TRACE_FILE", "BENCH_trace.json");
-  AppendTrackedBenchEntry(path, "crf-trace-bench-v2", entry.str());
+  AppendTrackedBenchEntry(path, "crf-trace-bench-v3", entry.str());
   std::printf(
-      "trace bench (%s): aos %.0f arena %.0f machine-scans/s (%.2fx), "
-      "%.1f -> %.1f bytes/task-interval, load heap %.2f ms / mmap %.2f ms "
-      "(%.0fx), resident %lld -> %lld bytes -> %s\n",
-      full ? "full" : "short", scans / aos_seconds, scans / arena_seconds, speedup,
-      aos_bytes_per_ti, arena_bytes_per_ti, heap_load_ms, mmap_load_ms, load_speedup,
+      "trace bench (%s): arena %.0f machine-scans/s, %.1f bytes/task-interval, "
+      "load heap %.2f ms / mmap %.2f ms (%.0fx), resident %lld -> %lld bytes -> %s\n",
+      full ? "full" : "short", scans / arena_seconds, arena_bytes_per_ti, heap_load_ms,
+      mmap_load_ms, load_speedup,
       static_cast<long long>(heap_resident), static_cast<long long>(mmap_resident),
       path.c_str());
 }

@@ -101,10 +101,7 @@ bool RunLoadGen(const CellTrace& cell, const PredictorSpec& spec,
                 ", requested until " + std::to_string(until));
   }
 
-  // The server's shard map: contiguous blocks of ceil(M/S) machines.
   const int num_machines = cell.num_machines();
-  const int block = std::max((num_machines + num_shards - 1) / num_shards, 1);
-
   const EventLog log(cell);
   const int threads = std::min(options.client_threads, num_shards);
   std::vector<ThreadSamples> samples(threads);
@@ -128,9 +125,8 @@ bool RunLoadGen(const CellTrace& cell, const PredictorSpec& spec,
         // Thread k owns shards k, k+threads, k+2*threads, ... — disjoint
         // shard sets, so server-side shard locks never contend.
         for (int s = k; s < num_shards; s += threads) {
-          const int begin = std::min(s * block, num_machines);
-          const int end = std::min((s + 1) * block, num_machines);
-          for (int m = begin; m < end; ++m) {
+          const MachineRange machines = ShardMachineRange(num_machines, num_shards, s);
+          for (int m = machines.begin; m < machines.end; ++m) {
             cursor = log.CreateCursor(m);
             cursor.Seek(from);
             for (Interval t = from; t < until;) {

@@ -48,26 +48,7 @@ bool SendAll(int fd, const uint8_t* data, size_t size) {
 }  // namespace
 
 OvercommitServer::OvercommitServer(StreamReplayer& replayer, const NetServerOptions& options)
-    : replayer_(replayer), options_(options), shards_(replayer.num_shards()) {
-  // Derive each shard's machine range from the replayer's own map, so the
-  // wire protocol and AdvanceShard can never disagree about ownership.
-  const int num_machines = replayer_.cell().num_machines();
-  for (auto& shard : shards_) {
-    shard.begin_machine = num_machines;  // empty until a machine lands in it
-    shard.end_machine = num_machines;
-  }
-  for (int m = 0; m < num_machines; ++m) {
-    NetShard& shard = shards_[replayer_.shard_of(m)];
-    shard.begin_machine = std::min(shard.begin_machine, m);
-    shard.end_machine = m + 1;
-  }
-  for (auto& shard : shards_) {
-    if (shard.begin_machine >= shard.end_machine) {
-      shard.begin_machine = shard.end_machine = 0;  // empty shard
-    }
-    shard.next_machine = shard.begin_machine;
-  }
-}
+    : replayer_(replayer), options_(options), shards_(replayer.num_shards()) {}
 
 OvercommitServer::~OvercommitServer() {
   RequestStop();
@@ -132,12 +113,7 @@ void OvercommitServer::Wait(const std::atomic<bool>* external_stop) {
       // checkpoint on disk.
       ShutdownResponse response;
       std::string error;
-      bool ok;
-      {
-        std::lock_guard<std::mutex> lock(window_mutex_);
-        ok = SealLocked(/*seal=*/true, &response, &error);
-      }
-      if (!ok) {
+      if (!Seal(/*seal=*/true, &response, &error)) {
         std::fprintf(stderr, "crf serve: stop requested but no checkpoint was sealed: %s\n",
                      error.c_str());
       }
@@ -316,7 +292,7 @@ void OvercommitServer::HandleHello(std::span<const uint8_t> payload,
   response.num_intervals = replayer_.cell().num_intervals;
   response.num_shards = replayer_.num_shards();
   {
-    std::lock_guard<std::mutex> lock(window_mutex_);
+    const auto locks = LockAllShards();
     response.next_tick = replayer_.next_tick();
   }
   ByteWriter writer;
@@ -326,92 +302,77 @@ void OvercommitServer::HandleHello(std::span<const uint8_t> payload,
 
 bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, ConnectionStats* stats,
                                     std::vector<uint8_t>& out) {
+  const auto reject = [&](const std::string& message) {
+    AppendError(message, out);
+    net_metrics_.OnRejectedFrame();
+    return false;
+  };
   IngestBatchRequest request;
   if (!DecodePayload(payload, request)) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("malformed ingest-batch payload", out);
-    return false;
+    return reject("malformed ingest-batch payload");
   }
-  if (request.machine >= replayer_.cell().num_machines()) {
-    net_metrics_.OnRejectedFrame();
-    AppendError("ingest-batch machine " + std::to_string(request.machine) +
-                    " out of range (cell has " +
-                    std::to_string(replayer_.cell().num_machines()) + " machines)",
-                out);
-    return false;
+  const int num_machines = replayer_.cell().num_machines();
+  if (request.machine >= num_machines) {
+    return reject("ingest-batch machine " + std::to_string(request.machine) +
+                  " out of range (cell has " + std::to_string(num_machines) + " machines)");
   }
   const int shard_index = replayer_.shard_of(request.machine);
   NetShard& shard = shards_[shard_index];
+  const MachineRange machines =
+      ShardMachineRange(num_machines, replayer_.num_shards(), shard_index);
+  const auto window_mismatch = [&](Interval window) {
+    return reject("ingest window_until " + std::to_string(request.window_until) +
+                  " does not match the open window (" + std::to_string(window) + ")");
+  };
 
   IngestBatchResponse response;
-  bool shard_completed_window = false;
-  Interval completed_window_until = -1;
+  bool finished_shard = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    // Window bookkeeping: open on first use, then enforce the shared
-    // boundary and the machine-outer, machine-ascending streaming order
-    // that keeps push-mode arithmetic identical to AdvanceShard.
-    if (shard.window_until < 0) {
-      if (shard.completed_until >= 0) {
-        AppendError("ingest window through tick " + std::to_string(shard.completed_until) +
-                        " is complete on this shard but not yet committed cell-wide",
-                    out);
-        net_metrics_.OnRejectedFrame();
-        return false;
-      }
-      // next_tick only moves under all shard locks (TryCommitWindow), and we
-      // hold one, so this read is stable.
+    // A commit takes every shard lock, so while this one is held next_tick
+    // stays put and the window can only be opened, never closed or moved.
+    const Interval until = request.window_until;
+    Interval window = current_window_until_.load();
+    if (window < 0) {
       const Interval from = replayer_.next_tick();
-      if (request.window_until <= from ||
-          request.window_until > replayer_.cell().num_intervals) {
-        AppendError("ingest window_until " + std::to_string(request.window_until) +
-                        " outside (" + std::to_string(from) + ", " +
-                        std::to_string(replayer_.cell().num_intervals) + "]",
-                    out);
-        net_metrics_.OnRejectedFrame();
-        return false;
+      if (until <= from || until > replayer_.cell().num_intervals) {
+        return reject("ingest window_until " + std::to_string(until) + " outside (" +
+                      std::to_string(from) + ", " +
+                      std::to_string(replayer_.cell().num_intervals) + "]");
       }
-      shard.window_from = from;
-      shard.window_until = request.window_until;
-      shard.next_machine = shard.begin_machine;
-      shard.machine_tick = from;
+    } else if (until != window) {
+      return window_mismatch(window);
     }
-    if (request.window_until != shard.window_until) {
-      AppendError("ingest window_until " + std::to_string(request.window_until) +
-                      " does not match the shard's open window (" +
-                      std::to_string(shard.window_until) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+    // The streaming cursor is the replayer's own per-machine last tick. A
+    // batch continues its machine, and a shard streams its machines one at
+    // a time in ascending order — AdvanceShard's loop — so the previous
+    // machine must already have streamed the whole window.
+    const OvercommitService& service = replayer_.service();
+    if (request.machine > machines.begin &&
+        service.LastTick(request.machine - 1) != until - 1) {
+      return reject("ingest-batch machine " + std::to_string(request.machine) +
+                    " out of order (machine " + std::to_string(request.machine - 1) +
+                    " has not streamed the window to tick " + std::to_string(until) + ")");
     }
-    if (shard.next_machine >= shard.end_machine) {
-      AppendError("shard has no machine left to stream in this window", out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+    const Interval expected = service.LastTick(request.machine) + 1;
+    if (request.from_tick != expected) {
+      return reject("ingest-batch ticks [" + std::to_string(request.from_tick) + ", " +
+                    std::to_string(request.until_tick) + ") do not continue machine " +
+                    std::to_string(request.machine) + " (expected from tick " +
+                    std::to_string(expected) + ", window ends at " + std::to_string(until) +
+                    ")");
     }
-    if (request.machine != shard.next_machine) {
-      AppendError("ingest-batch machine " + std::to_string(request.machine) +
-                      " out of order (shard expects machine " +
-                      std::to_string(shard.next_machine) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
-    }
-    if (request.from_tick != shard.machine_tick || request.until_tick > shard.window_until) {
-      AppendError("ingest-batch ticks [" + std::to_string(request.from_tick) + ", " +
-                      std::to_string(request.until_tick) + ") do not continue machine " +
-                      std::to_string(request.machine) + " (expected from tick " +
-                      std::to_string(shard.machine_tick) + ", window ends at " +
-                      std::to_string(shard.window_until) + ")",
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
+    // Open the window only once the batch is in order, so a rejected first
+    // batch leaves none open. A racing shard may have opened it first.
+    if (window < 0 && !current_window_until_.compare_exchange_strong(window, until) &&
+        window != until) {
+      return window_mismatch(window);
     }
 
     // Apply tick by tick. OvercommitService::IngestTick validates each
     // tick's batch against the machine's live roster before it changes
-    // anything; a rejected tick draws its diagnostic as the kError text.
-    const OvercommitService& service = replayer_.service();
+    // anything; a rejected tick draws its diagnostic as the kError text and
+    // leaves LastTick on the applied prefix.
     const auto t0 = std::chrono::steady_clock::now();
     size_t i = 0;
     std::string ingest_error;
@@ -422,50 +383,25 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
       }
       const std::span<const StreamEvent> tick_events(request.events.data() + i, end - i);
       if (!replayer_.PushMachineTick(request.machine, tau, tick_events, &ingest_error)) {
-        AppendError("ingest-batch " + ingest_error, out);
-        net_metrics_.OnRejectedFrame();
-        return false;
+        return reject("ingest-batch " + ingest_error);
       }
-      response.prediction = service.Predict(request.machine);
-      // Advance the streaming cursor with every applied tick, not once per
-      // batch: a rejected later tick must leave the cursor on the applied
-      // prefix, so a resumed stream continues at the first unapplied tick.
-      shard.machine_tick = tau + 1;
       i = end;
     }
     const auto t1 = std::chrono::steady_clock::now();
     shard.elapsed_seconds += std::chrono::duration<double>(t1 - t0).count();
 
+    response.prediction = service.Predict(request.machine);
     response.limit_sum = service.LimitSum(request.machine);
     response.last_tick = service.LastTick(request.machine);
     stats->RecordBatch(static_cast<int64_t>(request.events.size()));
-
-    // On the machine's final tick move to the next machine, and on the
-    // shard's last machine mark the window complete.
-    if (request.until_tick == shard.window_until) {
-      ++shard.next_machine;
-      shard.machine_tick = shard.window_from;
-      if (shard.next_machine >= shard.end_machine) {
-        shard.completed_until = shard.window_until;
-        shard.window_until = -1;
-        shard_completed_window = true;
-        completed_window_until = shard.completed_until;
-      }
-    }
+    finished_shard = request.machine + 1 == machines.end && request.until_tick == until;
   }
 
-  // Last shard to finish commits the window for the whole cell (outside the
-  // shard lock: the commit path takes window_mutex_ then every shard lock).
-  if (shard_completed_window) {
-    std::lock_guard<std::mutex> lock(window_mutex_);
-    std::string error;
-    if (!TryCommitWindow(&error) && !error.empty()) {
-      AppendError("window commit at tick " + std::to_string(completed_window_until) +
-                      " failed: " + error,
-                  out);
-      net_metrics_.OnRejectedFrame();
-      return false;
-    }
+  // The batch that finishes a shard tries the cell-wide commit; it lands
+  // once the last shard has finished.
+  if (finished_shard) {
+    const auto locks = LockAllShards();
+    CommitWindowShardsLocked();
   }
 
   ByteWriter writer;
@@ -483,42 +419,12 @@ std::vector<std::unique_lock<std::mutex>> OvercommitServer::LockAllShards() {
   return locks;
 }
 
-bool OvercommitServer::TryCommitWindow(std::string* error) {
-  // Take every shard lock (in order) so pushes cannot race the commit and
-  // their writes are visible here.
-  const auto locks = LockAllShards();
-  return TryCommitWindowShardsLocked(error);
-}
-
-bool OvercommitServer::TryCommitWindowShardsLocked(std::string* error) {
-  Interval window = -1;
-  for (const auto& shard : shards_) {
-    if (shard.begin_machine == shard.end_machine) {
-      continue;  // empty shard, nothing to stream
-    }
-    if (shard.window_until >= 0 || shard.completed_until < 0) {
-      return false;  // some shard still streaming; not an error
-    }
-    if (window < 0) {
-      window = shard.completed_until;
-    } else if (shard.completed_until != window) {
-      *error = "shards completed mismatched windows (" + std::to_string(window) + " vs " +
-               std::to_string(shard.completed_until) + ")";
-      return false;
-    }
+void OvercommitServer::CommitWindowShardsLocked() {
+  // CommitPushedWindow checks every machine, so false just means "not yet".
+  const Interval window = current_window_until_.load();
+  if (window >= 0 && replayer_.CommitPushedWindow(window)) {
+    current_window_until_.store(-1);
   }
-  if (window < 0) {
-    return false;  // no machines anywhere
-  }
-  if (!replayer_.CommitPushedWindow(window)) {
-    *error = "replayer rejected the window commit (a machine lags tick " +
-             std::to_string(window - 1) + ")";
-    return false;
-  }
-  for (auto& shard : shards_) {
-    shard.completed_until = -1;
-  }
-  return true;
 }
 
 bool OvercommitServer::HandleMachineQuery(std::span<const uint8_t> payload,
@@ -553,7 +459,6 @@ bool OvercommitServer::HandleMachineQuery(std::span<const uint8_t> payload,
 void OvercommitServer::HandleCellQuery(std::vector<uint8_t>& out) {
   CellQueryResponse response;
   {
-    std::lock_guard<std::mutex> window_lock(window_mutex_);
     const auto locks = LockAllShards();
     const OvercommitService& service = replayer_.service();
     const int num_machines = replayer_.cell().num_machines();
@@ -600,7 +505,6 @@ bool OvercommitServer::HandleAdmission(std::span<const uint8_t> payload,
 }
 
 void OvercommitServer::RefreshMetricsShardsLocked() {
-  // Caller holds window_mutex_ and every shard lock.
   double elapsed = 0.0;
   for (auto& shard : shards_) {
     elapsed += shard.elapsed_seconds;
@@ -615,7 +519,6 @@ void OvercommitServer::RefreshMetricsShardsLocked() {
 void OvercommitServer::HandleMetrics(std::vector<uint8_t>& out) {
   MetricsSnapshotResponse response;
   {
-    std::lock_guard<std::mutex> lock(window_mutex_);
     const auto locks = LockAllShards();
     RefreshMetricsShardsLocked();
     response.json = replayer_.MutableMetrics().ToJson();
@@ -625,19 +528,13 @@ void OvercommitServer::HandleMetrics(std::vector<uint8_t>& out) {
   AppendFrame(WireOp::kMetricsSnapshot, writer, out);
 }
 
-bool OvercommitServer::SealLocked(bool seal, ShutdownResponse* response, std::string* error) {
-  // Caller holds window_mutex_. Every shard lock is held from here through
-  // the checkpoint write: the mid-stream check below reads shard window
-  // state, and SaveCheckpoint serializes the replayer, so a concurrent
-  // ingest between the two would produce a torn checkpoint. Commit a
-  // fully-streamed window if one is pending so the seal lands on the
-  // freshest boundary.
+bool OvercommitServer::Seal(bool seal, ShutdownResponse* response, std::string* error) {
+  // Every shard lock is held from here through the checkpoint write:
+  // SaveCheckpoint serializes the replayer, so a concurrent ingest between
+  // the open-window check and the write would tear the checkpoint. Commit a
+  // fully-streamed window first so the seal lands on the freshest boundary.
   const auto locks = LockAllShards();
-  std::string commit_error;
-  if (!TryCommitWindowShardsLocked(&commit_error) && !commit_error.empty()) {
-    *error = commit_error;
-    return false;
-  }
+  CommitWindowShardsLocked();
   RefreshMetricsShardsLocked();
   response->next_tick = replayer_.next_tick();
   if (!seal || options_.checkpoint_out.empty()) {
@@ -645,12 +542,10 @@ bool OvercommitServer::SealLocked(bool seal, ShutdownResponse* response, std::st
   }
   // Refuse to seal while a window is mid-stream: the accumulators already
   // hold pushes past next_tick, and a checkpoint cut there could not resume.
-  for (const auto& shard : shards_) {
-    if (shard.window_until >= 0 || shard.completed_until >= 0) {
-      *error = "cannot seal: an ingest window is still open past tick " +
-               std::to_string(replayer_.next_tick());
-      return false;
-    }
+  if (current_window_until_.load() >= 0) {
+    *error = "cannot seal: an ingest window is still open past tick " +
+             std::to_string(replayer_.next_tick());
+    return false;
   }
   if (!SaveCheckpoint(replayer_, options_.checkpoint_out, error)) {
     return false;
@@ -674,12 +569,7 @@ bool OvercommitServer::HandleShutdown(std::span<const uint8_t> payload,
   }
   ShutdownResponse response;
   std::string error;
-  bool ok;
-  {
-    std::lock_guard<std::mutex> lock(window_mutex_);
-    ok = SealLocked(request.seal_checkpoint, &response, &error);
-  }
-  if (!ok) {
+  if (!Seal(request.seal_checkpoint, &response, &error)) {
     AppendError("shutdown: " + error, out);
   } else {
     ByteWriter writer;

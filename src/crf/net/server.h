@@ -3,20 +3,28 @@
 // Wraps a push-mode StreamReplayer behind the CRFNET1 wire protocol: an
 // acceptor thread plus one worker thread per connection, each connection
 // decoding batched requests and answering ingest / query / admission /
-// metrics / shutdown ops. Per-shard ingest state is cache-line padded
-// (NetShard, the network twin of the replay ShardState) and guarded by a
-// per-shard mutex, so clients that drive disjoint shards never contend.
+// metrics / shutdown ops. Each replay shard has one cache-line padded mutex
+// (NetShard), so clients that drive disjoint shards never contend.
 //
-// The ingest protocol preserves the replayer's bit-identity contract. Within
-// a shard, clients must stream machines one at a time in ascending machine
-// order, each machine's ticks in ascending order, over a window
-// [next_tick, W) shared by every shard (the first shard to open a window
-// fixes W; the rest must match). When the last shard finishes its machines,
-// the server commits the window (StreamReplayer::CommitPushedWindow) — this
-// exactly replays AdvanceShard's machine-outer loop, so every per-machine
-// number, the per-shard cell series, and a checkpoint sealed at the
-// committed boundary are bit-identical to an in-process Advance over the
-// same trace.
+// The ingest protocol preserves the replayer's bit-identity contract. The
+// replayer owns all ingest progress; the server keeps only one cell-wide
+// window end W. The first valid batch opens the window [next_tick, W) and
+// every later batch must name the same W. A batch's position is derived
+// from OvercommitService::LastTick: it must continue its machine at
+// LastTick(m) + 1, and unless m is its shard's first machine, machine m - 1
+// must already have streamed through W - 1. Within a shard that is exactly
+// AdvanceShard's machine-outer, tick-ascending loop. When a batch finishes
+// its shard's last machine, the server tries StreamReplayer::
+// CommitPushedWindow(W), which succeeds once every machine has streamed the
+// window; the window then closes. Every per-machine number, the per-shard
+// cell series, and a checkpoint sealed at the committed boundary are
+// bit-identical to an in-process Advance over the same trace.
+//
+// Every path that reads or writes across shards (window commit, seal, cell
+// query, metrics, hello's next_tick) takes every shard lock in shard order;
+// there is no other lock on the ingest path. So while a batch holds its
+// shard lock, next_tick stays put and the window end can only go from -1 to
+// W, never close or move.
 //
 // Every byte off the wire is validated: the frame layer checks
 // magic/version/length/checksum, the payload decoders bounds-check each
@@ -26,10 +34,9 @@
 // roster, exactly one sample per resident task in roster order) before
 // applying it. Malformed input produces a kError response carrying the
 // service's diagnostic and a closed connection, never a CHECK-abort. A
-// protocol error mid-batch leaves the validly-applied prefix
-// ingested (the replayer stays consistent) and drops the connection; the
-// shard's streaming cursor tracks the applied prefix tick by tick, so a
-// reconnecting client resumes at the first unapplied tick.
+// protocol error mid-batch leaves the validly-applied prefix ingested and
+// drops the connection; because the cursor is the replayer's own last tick,
+// a reconnecting client resumes at the first unapplied tick.
 
 #ifndef CRF_NET_SERVER_H_
 #define CRF_NET_SERVER_H_
@@ -95,22 +102,10 @@ class OvercommitServer {
   const NetMetrics& net_metrics() const { return net_metrics_; }
 
  private:
-  // Per-shard ingest state, padded like the replay ShardState: one line per
-  // shard so concurrent connections on different shards never share a
-  // counter or its mutex.
+  // One ingest lock per replay shard, padded like the replay ShardState so
+  // concurrent connections on different shards never share a line.
   struct alignas(64) NetShard {
     std::mutex mutex;
-    int begin_machine = 0;
-    int end_machine = 0;
-    // Open ingest window [window_from, window_until); window_until == -1
-    // when no window is open on this shard.
-    Interval window_from = 0;
-    Interval window_until = -1;
-    // Completed-but-uncommitted window boundary (-1 once committed).
-    Interval completed_until = -1;
-    // The machine currently being streamed and its next expected tick.
-    int next_machine = 0;
-    Interval machine_tick = 0;
     // Wall-clock seconds spent in ingest on this shard (folded into
     // ServeMetrics at snapshot/shutdown).
     double elapsed_seconds = 0.0;
@@ -144,26 +139,20 @@ class OvercommitServer {
   void HandleMetrics(std::vector<uint8_t>& out);
   bool HandleShutdown(std::span<const uint8_t> payload, std::vector<uint8_t>& out);
 
-  // Acquires every shard lock in shard order. Caller holds window_mutex_
-  // (the only sanctioned order: window_mutex_ first, then shard locks).
+  // Acquires every shard lock in shard order.
   std::vector<std::unique_lock<std::mutex>> LockAllShards();
-  // Commits the window `until` if every populated shard has completed it.
-  // Caller holds window_mutex_ and no shard locks (the wrapper takes them).
-  // Returns false with a diagnostic if the replayer rejects the commit
-  // (server bug / lagging machine).
-  bool TryCommitWindow(std::string* error);
-  // The commit body; caller holds window_mutex_ and every shard lock.
-  bool TryCommitWindowShardsLocked(std::string* error);
+  // Commits and closes the open window once every machine has streamed it;
+  // until then leaves it open. Caller holds every shard lock.
+  void CommitWindowShardsLocked();
   // Folds per-shard elapsed seconds into ServeMetrics and refreshes the
-  // "net" section. Caller holds window_mutex_ and every shard lock.
+  // "net" section. Caller holds every shard lock.
   void RefreshMetricsShardsLocked();
   // The shutdown-seal body shared by the shutdown op and external stops:
-  // commits a fully-streamed window if one is pending, then seals a
-  // checkpoint when `seal` is set and checkpoint_out is configured. Caller
-  // holds window_mutex_; every shard lock is held from the commit through
-  // the checkpoint write, so ingest cannot open a window or push state
-  // between the mid-stream check and the serialization.
-  bool SealLocked(bool seal, ShutdownResponse* response, std::string* error);
+  // commits a fully-streamed window, then seals a checkpoint when `seal` is
+  // set and checkpoint_out is configured. Every shard lock is held from the
+  // commit through the checkpoint write, so ingest cannot open a window or
+  // push state between the open-window check and the serialization.
+  bool Seal(bool seal, ShutdownResponse* response, std::string* error);
 
   void AppendError(const std::string& message, std::vector<uint8_t>& out);
 
@@ -172,12 +161,10 @@ class OvercommitServer {
   int port_ = 0;
   int listen_fd_ = -1;
 
-  // Orders window open/commit and guards replayer-wide state (next_tick,
-  // cross-shard queries, metrics, seal). Never taken while holding a shard
-  // lock; the multi-lock paths take window_mutex_ first, then shard locks
-  // in shard order.
-  std::mutex window_mutex_;
-  Interval current_window_until_ = -1;  // -1: no window open anywhere
+  // End of the open ingest window, or -1 when none is open. Opened by the
+  // first valid batch (compare-exchange under its shard lock), closed by the
+  // commit under every shard lock.
+  std::atomic<Interval> current_window_until_{-1};
   std::vector<NetShard> shards_;
 
   NetMetrics net_metrics_;

@@ -12,6 +12,11 @@
 
 namespace crf {
 
+MachineRange ShardMachineRange(int num_machines, int num_shards, int shard) {
+  const int block = (num_machines + num_shards - 1) / num_shards;
+  return {std::min(shard * block, num_machines), std::min((shard + 1) * block, num_machines)};
+}
+
 StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
                                const ReplayOptions& options)
     : log_(cell),
@@ -30,17 +35,17 @@ StreamReplayer::StreamReplayer(const CellTrace& cell, const PredictorSpec& spec,
   }
   accums_.resize(num_machines);
 
-  // Contiguous machine blocks: shard s owns [s*block, (s+1)*block) ∩ [0, M).
-  const int block = (num_machines + options_.num_shards - 1) / options_.num_shards;
-  machine_block_ = std::max(block, 1);
   shards_.resize(options_.num_shards);
   for (int s = 0; s < options_.num_shards; ++s) {
     ShardState& shard = shards_[s];
-    shard.begin_machine = std::min(s * block, num_machines);
-    shard.end_machine = std::min((s + 1) * block, num_machines);
+    const MachineRange range = ShardMachineRange(num_machines, options_.num_shards, s);
+    shard.begin_machine = range.begin;
+    shard.end_machine = range.end;
     shard.cell_limit.assign(num_intervals, 0.0);
     shard.cell_prediction.assign(num_intervals, 0.0);
   }
+  // Shard 0 is one whole block (ceil(M/S) <= M); an empty cell keeps 1.
+  machine_block_ = std::max(shards_[0].end_machine, 1);
 }
 
 double StreamReplayer::OracleAt(ShardState& shard, ShardMetrics& shard_metrics, int machine,

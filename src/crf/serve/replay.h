@@ -75,6 +75,17 @@ struct ReplayOptions {
   bool operator==(const ReplayOptions&) const = default;
 };
 
+// Machines [begin, end) of one shard.
+struct MachineRange {
+  int begin = 0;
+  int end = 0;
+};
+
+// The contiguous-block shard map shared by StreamReplayer, the network tier
+// and `crf loadgen`: shard s owns [s*B, (s+1)*B) ∩ [0, num_machines) with
+// B = ceil(num_machines / num_shards). Trailing shards may be empty.
+MachineRange ShardMachineRange(int num_machines, int num_shards, int shard);
+
 class StreamReplayer {
  public:
   // `cell` must outlive the replayer.
@@ -113,13 +124,18 @@ class StreamReplayer {
   // in machine order, so the caller must fully finish a machine before
   // starting the next (the server enforces this protocol on the wire).
   //
+  // service().LastTick(machine) is the streaming cursor: it moves with every
+  // accepted tick and never past a rejected one, so an owner can derive
+  // where each machine (and so each shard) stands in the window from it
+  // alone — the network tier keeps no cursor of its own.
+  //
   // Concurrency contract: PushMachineTick calls for machines in DISTINCT
   // shards may run concurrently; calls within one shard must be serialized
   // by the caller (the server holds a per-shard lock). CommitPushedWindow
   // requires exclusive access to the whole replayer.
 
   int num_shards() const { return options_.num_shards; }
-  // The shard owning `machine` (same contiguous-block map as Advance).
+  // The shard owning `machine` (ShardMachineRange's map).
   int shard_of(int machine) const { return machine / machine_block_; }
 
   // Ingests one machine's canonical event batch for interval `tau`;

@@ -74,8 +74,9 @@ ReplayOptions TestReplayOptions() {
 // Owns a replayer + running server on an ephemeral loopback port.
 struct ServerHarness {
   ServerHarness(const CellTrace& cell, const PredictorSpec& spec,
-                const std::string& checkpoint_out = "") {
-    replayer = std::make_unique<StreamReplayer>(cell, spec, TestReplayOptions());
+                const std::string& checkpoint_out = "",
+                const ReplayOptions& options = TestReplayOptions()) {
+    replayer = std::make_unique<StreamReplayer>(cell, spec, options);
     Serve(checkpoint_out);
   }
   ServerHarness(std::unique_ptr<StreamReplayer> resumed, const std::string& checkpoint_out)
@@ -105,6 +106,22 @@ LoadGenOptions TestLoadGenOptions(int port) {
   options.batch_ticks = 7;  // deliberately misaligned with the window
   options.verify_options = TestReplayOptions();
   return options;
+}
+
+void ExpectResultsBitIdentical(const SimResult& served, const SimResult& in_process) {
+  ASSERT_EQ(served.machines.size(), in_process.machines.size());
+  for (size_t m = 0; m < in_process.machines.size(); ++m) {
+    const MachineMetrics& a = served.machines[m];
+    const MachineMetrics& b = in_process.machines[m];
+    SCOPED_TRACE(::testing::Message() << "machine=" << m);
+    EXPECT_EQ(a.occupied_intervals, b.occupied_intervals);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.mean_violation_severity, b.mean_violation_severity);
+    EXPECT_EQ(a.savings_ratio, b.savings_ratio);
+    EXPECT_EQ(a.mean_prediction, b.mean_prediction);
+    EXPECT_EQ(a.mean_limit, b.mean_limit);
+  }
+  EXPECT_EQ(served.cell_savings_series, in_process.cell_savings_series);
 }
 
 class NetServerFamilyTest : public ::testing::TestWithParam<const char*> {};
@@ -181,6 +198,66 @@ TEST(NetServerCheckpointTest, ShutdownSealResumesBitIdentically) {
   EXPECT_TRUE(report.verified) << report.mismatched_machines << " machines mismatched";
   harness.server->Wait();
   EXPECT_TRUE(harness.replayer->Done());
+}
+
+// Twelve shards over five to eight machines leave the trailing shards
+// empty, and four client threads race to open every window. Each window
+// still commits once its last populated shard finishes, the seal lands on
+// the window boundary, and the resumed server ends on the in-process report.
+TEST(NetServerCheckpointTest, EmptyShardsSealAndResumeBitIdentically) {
+  const CellTrace cell = RandomCell(909);
+  std::string spec_error;
+  const auto spec = ParsePredictorSpec("max(n-sigma:5,rc-like:99)", &spec_error);
+  ASSERT_TRUE(spec.has_value()) << spec_error;
+  ReplayOptions replay = TestReplayOptions();
+  replay.num_shards = 12;
+  ASSERT_LT(cell.num_machines(), replay.num_shards);
+  const std::string ckpt = TempPath("empty_shards.ckpt");
+  const Interval quarter = cell.num_intervals / 4;
+  const Interval half = cell.num_intervals / 2;
+  const auto loadgen_options = [&](int port, Interval until) {
+    LoadGenOptions options = TestLoadGenOptions(port);
+    options.client_threads = 4;
+    options.until = until;
+    options.verify_options = replay;
+    return options;
+  };
+
+  {
+    ServerHarness harness(cell, *spec, ckpt, replay);
+    ASSERT_TRUE(harness.started);
+    LoadGenOptions first = loadgen_options(harness.server->port(), quarter);
+    first.send_shutdown = false;
+    LoadGenReport report;
+    ASSERT_TRUE(RunLoadGen(cell, *spec, first, &report)) << report.error;
+    EXPECT_TRUE(report.verified);
+
+    LoadGenReport sealed;
+    ASSERT_TRUE(RunLoadGen(cell, *spec, loadgen_options(harness.server->port(), half), &sealed))
+        << sealed.error;
+    EXPECT_TRUE(sealed.verified);
+    EXPECT_TRUE(sealed.sealed);
+    EXPECT_EQ(sealed.final_tick, half);
+    harness.server->Wait();
+    EXPECT_EQ(harness.server->sealed_tick(), half);
+  }
+
+  std::string error;
+  auto resumed = LoadCheckpoint(ckpt, cell, replay, &error);
+  ASSERT_NE(resumed, nullptr) << error;
+  ServerHarness harness(std::move(resumed), "");
+  ASSERT_TRUE(harness.started);
+  LoadGenReport report;
+  ASSERT_TRUE(RunLoadGen(cell, *spec, loadgen_options(harness.server->port(), -1), &report))
+      << report.error;
+  EXPECT_TRUE(report.verified) << report.mismatched_machines << " machines mismatched";
+  harness.server->Wait();
+  harness.server.reset();  // joins every connection thread
+  ASSERT_TRUE(harness.replayer->Done());
+
+  StreamReplayer reference(cell, *spec, replay);
+  reference.AdvanceToEnd();
+  ExpectResultsBitIdentical(harness.replayer->Finish(), reference.Finish());
 }
 
 // Sealing is refused while an ingest window is still open: the accumulators
@@ -455,6 +532,84 @@ TEST(NetServerProtocolTest, WindowMismatchIsRejected) {
   EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
   EXPECT_NE(error.find("window"), std::string::npos) << error;
   harness.server->RequestStop();
+}
+
+// One window for the whole cell: once a shard has opened [0, T/2), a batch
+// on another shard naming T is refused and applies nothing — two open
+// window ends could never commit together — and the server stays live: the
+// window still commits, verifies and seals.
+TEST(NetServerProtocolTest, MismatchedWindowIsRejectedAndServerStaysLive) {
+  const CellTrace cell = RandomCell(808);
+  std::string spec_error;
+  const auto spec = ParsePredictorSpec("n-sigma:3", &spec_error);
+  ASSERT_TRUE(spec.has_value()) << spec_error;
+  const std::string ckpt = TempPath("live.ckpt");
+  ServerHarness harness(cell, *spec, ckpt);
+  ASSERT_TRUE(harness.started);
+  const int port = harness.server->port();
+  const Interval half = cell.num_intervals / 2;
+  EventLog log(cell);
+
+  std::string error;
+  {
+    // Machine 0's tick 0 is in order, so the batch opens the window to T/2;
+    // a trailing departure of a non-resident task then makes IngestTick
+    // refuse the tick, so nothing is applied.
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    IngestBatchRequest request;
+    request.machine = 0;
+    request.from_tick = 0;
+    request.until_tick = 1;
+    request.window_until = half;
+    EventLog::MachineCursor cursor = log.CreateCursor(0);
+    cursor.EmitTick(0, request.events);
+    StreamEvent bogus;
+    bogus.kind = StreamEventKind::kTaskDeparture;
+    bogus.task_index = 999999;
+    bogus.tick = 0;
+    bogus.task_id = 999999;
+    bogus.limit = 0.5;
+    request.events.push_back(bogus);
+    EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
+  }
+  const int other =
+      ShardMachineRange(cell.num_machines(), TestReplayOptions().num_shards, 1).begin;
+  {
+    // A valid first batch for shard 1's first machine, naming the end of
+    // the trace instead of the open window's end.
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    IngestBatchRequest request;
+    request.machine = other;
+    request.from_tick = 0;
+    request.until_tick = 1;
+    request.window_until = cell.num_intervals;
+    EventLog::MachineCursor cursor = log.CreateCursor(other);
+    cursor.EmitTick(0, request.events);
+    EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
+    EXPECT_NE(error.find("window"), std::string::npos) << error;
+  }
+  {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    MachineQueryRequest query;
+    query.machine = other;
+    const auto state = client.MachineQuery(query, &error);
+    ASSERT_TRUE(state.has_value()) << error;
+    EXPECT_EQ(state->last_tick, -1);  // the refused batch applied nothing
+  }
+
+  LoadGenOptions options = TestLoadGenOptions(port);
+  options.until = half;
+  LoadGenReport report;
+  ASSERT_TRUE(RunLoadGen(cell, *spec, options, &report)) << report.error;
+  EXPECT_TRUE(report.verified) << report.mismatched_machines << " machines mismatched";
+  EXPECT_TRUE(report.sealed);
+  EXPECT_EQ(report.final_tick, half);
+  harness.server->Wait();
+  EXPECT_TRUE(harness.server->sealed());
+  EXPECT_EQ(harness.server->sealed_tick(), half);
 }
 
 // Admission checks answer against the live predicted peak: a zero-size task

@@ -21,13 +21,18 @@ bytes materialized — that ratio is the point of the zero-copy load path, it
 is a property of the code (fread-everything vs fault-metadata-only), not of
 runner speed, and a row where it collapsed means the mapped loader started
 touching the bulk slabs.
+
+v3 drops the array-of-structs comparison (aos_machine_scans_per_sec,
+speedup, aos_bytes_per_task_interval): that layout is no longer in the
+library, so the columns timed a rebuilt copy of dead code. A row carrying
+any of them is refused; older files must be re-recorded.
 """
 
 import sys
 
 from bench_check_lib import Checker
 
-REQUIRED_SCHEMA = "crf-trace-bench-v2"
+REQUIRED_SCHEMA = "crf-trace-bench-v3"
 LOAD_RATIO_TARGET = 10.0
 
 ENTRY_FIELDS = {
@@ -37,12 +42,16 @@ ENTRY_FIELDS = {
     "num_intervals": int,
     "num_tasks": int,
     "task_intervals": int,
-    "aos_machine_scans_per_sec": (int, float),
     "arena_machine_scans_per_sec": (int, float),
-    "speedup": (int, float),
-    "aos_bytes_per_task_interval": (int, float),
     "arena_bytes_per_task_interval": (int, float),
 }
+
+# Array-of-structs comparison columns removed in v3.
+LEGACY_FIELDS = (
+    "aos_machine_scans_per_sec",
+    "speedup",
+    "aos_bytes_per_task_interval",
+)
 
 # v2 load-path columns: required together on any row that carries one.
 LOAD_FIELDS = {
@@ -58,10 +67,7 @@ POSITIVE_FIELDS = [
     "num_intervals",
     "num_tasks",
     "task_intervals",
-    "aos_machine_scans_per_sec",
     "arena_machine_scans_per_sec",
-    "speedup",
-    "aos_bytes_per_task_interval",
     "arena_bytes_per_task_interval",
 ]
 
@@ -97,11 +103,19 @@ def check_load_columns(i, entry):
 
 def main():
     path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_trace.json"
-    entries = check.load(path, REQUIRED_SCHEMA)
+    entries = check.load(
+        path,
+        REQUIRED_SCHEMA,
+        "v3 dropped the array-of-structs columns; re-record with "
+        "CRF_TRACE_BENCH=full build/bench/perf_microbench",
+    )
 
     with_load = 0
     for i, entry in enumerate(entries):
         check.require_object(i, entry)
+        check.reject_legacy_fields(
+            i, entry, LEGACY_FIELDS, "v3 dropped the array-of-structs comparison"
+        )
         check.check_entry_fields(i, entry, ENTRY_FIELDS)
         check.check_positive(i, entry, POSITIVE_FIELDS)
         check.check_mode(i, entry)

@@ -7,46 +7,26 @@
 // across a 16-point predictor sweep).
 //
 // Results are recorded as JSON under $REPRO_OUT (default bench_out/) in
-// perf_microbench.json so engine throughput is a regression-checkable
-// number; pass --benchmark_out=... to override. The closed-loop cluster
-// engine (serial/linear-scan reference vs sharded/indexed) is additionally
-// timed into the tracked BENCH_cluster.json (see RecordClusterBench below),
-// and the multi-spec sweep engine (per-spec SimulateCell loop vs one
-// SimulateCellMulti pass over the Fig 8+9 grid) into the tracked
-// BENCH_sweep.json (see RecordSweepBench below).
+// perf_microbench.json; pass --benchmark_out=... to override. These kernels
+// are a developer tool: the repository benchmark, with repetitions, a host
+// fingerprint and a base/head protocol, is perfbench/ (python3
+// perfbench/run.py; see perfbench/README.md).
 
 #include <benchmark/benchmark.h>
-#include <fcntl.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "crf/cluster/ab_experiment.h"
 #include "crf/cluster/cell_sim.h"
-#include "crf/net/loadgen.h"
-#include "crf/net/server.h"
 #include "crf/core/oracle.h"
 #include "crf/core/predictor_factory.h"
 #include "crf/core/task_history.h"
 #include "crf/serve/replay.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
-#include "crf/trace/trace_io.h"
 #include "crf/util/env.h"
 #include "crf/util/rng.h"
-#include "crf/util/rss.h"
-#include "crf/util/thread_pool.h"
 
 namespace crf {
 namespace {
@@ -176,7 +156,7 @@ BENCHMARK(BM_SimulateMachineFused);
 // The streaming serve layer ingesting the full event stream of the default
 // synthetic cell (arrivals, departures, one usage sample per resident task
 // per interval). Arg(0): serial; Arg(1): sharded ingestion on the thread
-// pool. events_per_second is the tracked serve-layer throughput number.
+// pool. events_per_second is the serve-layer ingest rate.
 void BM_StreamIngest(benchmark::State& state) {
   const CellTrace& cell = SweepCell();
   ReplayOptions options;
@@ -227,45 +207,10 @@ BENCHMARK(BM_NSigmaSweep16)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// The Fig 8+9-shaped predictor grid: the N-sigma multiplier/warm-up/history
-// sweep plus the RC-like percentile/warm-up/history sweep, plus the
-// chance-constrained target sweep and the Flex percentile/margin sweep (the
-// same axes a Fig 8/9-style plot would walk for the new families), 27 points
-// total. This is the workload the multi-spec sweep engine exists for.
-std::vector<PredictorSpec> SweepGridSpecs() {
-  std::vector<PredictorSpec> specs;
-  for (const double n : {2.0, 3.0, 5.0, 10.0}) {
-    specs.push_back(NSigmaSpec(n));
-  }
-  for (const int hours : {1, 2, 3}) {
-    specs.push_back(NSigmaSpec(5.0, hours * kIntervalsPerHour));
-  }
-  for (const int hours : {2, 5, 10}) {
-    specs.push_back(NSigmaSpec(5.0, 2 * kIntervalsPerHour, hours * kIntervalsPerHour));
-  }
-  for (const double p : {80.0, 90.0, 95.0, 99.0}) {
-    specs.push_back(RcLikeSpec(p));
-  }
-  for (const int hours : {1, 2, 3}) {
-    specs.push_back(RcLikeSpec(95.0, hours * kIntervalsPerHour));
-  }
-  for (const int hours : {2, 5, 10}) {
-    specs.push_back(RcLikeSpec(95.0, 2 * kIntervalsPerHour, hours * kIntervalsPerHour));
-  }
-  for (const double target : {0.005, 0.01, 0.05, 0.10}) {
-    specs.push_back(ChanceSpec(target));
-  }
-  for (const double p : {90.0, 95.0, 99.0}) {
-    specs.push_back(FlexSpec(p));
-  }
-  return specs;
-}
-
 // The whole grid over the default cell. Arg(0): one SimulateCell per spec
 // (the per-spec reference, with a shared OracleCache so only predictor work
 // differs). Arg(1): one SimulateCellMulti walking each machine once. The
-// machines_per_second ratio between the rows is the sweep-engine speedup
-// tracked in BENCH_sweep.json.
+// machines_per_second ratio between the rows is the sweep-engine speedup.
 void BM_SweepGrid(benchmark::State& state) {
   const CellTrace& cell = SweepCell();
   const std::vector<PredictorSpec> specs = SweepGridSpecs();
@@ -372,8 +317,7 @@ double ScanAllMachinesArena(const CellTrace& cell, MachineSeriesCursor& cursor) 
   return checksum;
 }
 
-// machine_scans_per_second is the arena scan rate tracked in
-// BENCH_trace.json.
+// machine_scans_per_second is the arena scan rate.
 void BM_TraceLayout(benchmark::State& state) {
   const CellTrace& cell = SweepCell();
   MachineSeriesCursor cursor(cell);
@@ -389,1004 +333,6 @@ void BM_TraceLayout(benchmark::State& state) {
       machine_scans * static_cast<double>(cell.num_intervals), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TraceLayout)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Thread-matrix helpers shared by the cluster and stream recorders.
-
-// Cores visible to this process; recorded in every matrix row so the check
-// scripts know whether a speedup target was physically measurable on the
-// host that produced the row (an 8-thread pool on a 1-core container cannot
-// exceed 1x no matter how contention-free the engine is).
-int HostCores() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-// Pool sizes for the bench matrices, from $CRF_BENCH_THREADS (default
-// "1,4,8,16"). The serial lane (1) is always included — it is the baseline
-// every speedup in the matrix is computed against.
-std::vector<int> BenchThreadCounts() {
-  const std::string spec = GetEnvString("CRF_BENCH_THREADS", "1,4,8,16");
-  std::vector<int> counts{1};
-  std::stringstream in(spec);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    const int n = std::atoi(token.c_str());
-    if (n >= 1) {
-      counts.push_back(n);
-    }
-  }
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  return counts;
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_cluster.json: tracked cluster-engine thread-scaling matrix.
-//
-// Controlled by $CRF_CLUSTER_BENCH: "off" skips, "short" (default) times one
-// day over a small cell, "full" one day over a 2k-machine cell — the problem
-// size at which the per-interval fan-out amortizes (ROADMAP "make
-// parallelism actually pay") — and "scale" runs the cloud-scale lane below
-// instead of the matrix. Every lane runs the indexed placement engine. v3
-// added the memory columns: every row reports `peak_rss_bytes` (the lane's
-// VmHWM), plus `load_ms`/`load_mode` so matrix rows (which generate their
-// cell in-process, load_mode "generated", load_ms 0) and scale rows (which
-// mmap a streamed .crftrace) share one schema.
-//
-// v4 restructures the matrix around the sharded placement engine: one
-// reference row per matrix (threads 1, placement_shards 0 — the global
-// scheduler) plus one sharded row (placement_shards $CRF_BENCH_SHARDS,
-// default 8) per pool size in $CRF_BENCH_THREADS. Rows carry the packing-
-// quality columns (`violation_rate_p90`, `pending_task_intervals`,
-// `tasks_timed_out`) the check script gates sharded rows against the
-// reference with, plus the isolated generator placement-phase throughput
-// (`placement_phase_ms` / `placement_phase_per_sec`) whose 8-thread scaling
-// is the placement-parallelism gate. The record lands in
-// $CRF_BENCH_CLUSTER_FILE (default ./BENCH_cluster.json) as
-// {"schema":"crf-cluster-bench-v4","entries":[...]}; reruns append, so the
-// tracked file accumulates a regression history.
-//
-// The "scale" lane is the cloud-scale trace-I/O proof (DESIGN.md §6c): it
-// stream-generates a $CRF_SCALE_MACHINES-machine (default 100000) one-day
-// binary trace with bounded-probe placement ($CRF_SCALE_PROBES, default 16)
-// — never holding the cell in memory — then mmap-loads it and drives the
-// serial streaming replayer over the mapped arena with per-machine page
-// drops. Its row records gen_ms / file_bytes for the writer, load_ms /
-// resident_after_load_bytes for the mapped open, events_per_sec for the
-// replay, and two memory truths: resident_after_load_bytes and
-// resident_after_replay_bytes — the arena pages this process materialized
-// after the open and after walking the entire trace — must both stay an
-// order of magnitude under file_bytes (the zero-copy claim), while
-// peak_rss_bytes (load + replay VmHWM) is recorded un-gated because it is
-// dominated by the replayer's own per-machine predictor state, which scales
-// with the cell no matter how the trace is loaded. The trace lands in
-// $CRF_BENCH_SCALE_TRACE when set (kept), else in a temp file (deleted).
-
-struct ClusterBenchTiming {
-  double machine_steps_per_sec = 0.0;
-  double placements_per_sec = 0.0;
-  int64_t placement_attempts = 0;
-  int64_t tasks_placed = 0;
-  // Packing-quality telemetry, compared across engines by the check script.
-  int64_t tasks_timed_out = 0;
-  int64_t pending_task_intervals = 0;
-  double violation_rate_p90 = 0.0;
-};
-
-ClusterBenchTiming TimeClusterSim(const CellProfile& profile,
-                                  const ClusterSimOptions& options) {
-  // One warm-up run (page in the code and the allocator), then one timed run.
-  RunClusterSim(profile, options, Rng(10));
-  const auto start = std::chrono::steady_clock::now();
-  const ClusterSimResult result = RunClusterSim(profile, options, Rng(10));
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  ClusterBenchTiming timing;
-  timing.machine_steps_per_sec =
-      static_cast<double>(profile.num_machines) * options.num_intervals / seconds;
-  timing.placements_per_sec = static_cast<double>(result.placement_attempts) / seconds;
-  timing.placement_attempts = result.placement_attempts;
-  timing.tasks_placed = result.tasks_placed;
-  timing.tasks_timed_out = result.tasks_timed_out;
-  timing.pending_task_intervals = result.pending_task_intervals;
-  const std::vector<ClusterSimResult> results{result};
-  const GroupMetrics metrics = ComputeGroupMetrics(result.predictor_name, results);
-  timing.violation_rate_p90 = metrics.violation_rate.Quantile(0.9);
-  return timing;
-}
-
-// The isolated placement-phase throughput matrix: the generator's placement
-// phase (initial fill + arrival sweep, no usage generation) on the same cell,
-// per pool size. This is the number the sharded engine exists to scale —
-// machine_steps_per_sec is dominated by the per-interval usage stepping,
-// which parallelized two PRs ago.
-struct PlacementPhaseTiming {
-  double ms = 0.0;
-  double per_sec = 0.0;
-};
-
-PlacementPhaseTiming TimePlacementPhase(const CellProfile& profile, int shards,
-                                        ThreadPool* pool) {
-  GeneratorOptions options;
-  options.num_intervals = kIntervalsPerDay;
-  options.placement_probes = 16;
-  options.placement_shards = shards;
-  options.pool = pool;
-  MeasurePlacementPhase(profile, options, Rng(10));  // warm-up
-  const PlacementPhaseStats stats = MeasurePlacementPhase(profile, options, Rng(10));
-  PlacementPhaseTiming timing;
-  timing.ms = stats.placement_ms;
-  timing.per_sec = stats.placement_ms > 0.0
-                       ? stats.placement_attempts * 1000.0 / stats.placement_ms
-                       : 0.0;
-  return timing;
-}
-
-std::string TodayUtc() {
-  const std::time_t now = std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm_utc{};
-  gmtime_r(&now, &tm_utc);
-  char buffer[16];
-  std::strftime(buffer, sizeof(buffer), "%Y-%m-%d", &tm_utc);
-  return buffer;
-}
-
-// Appends one entry to a tracked {"schema":..., "entries":[...]} JSON file,
-// keeping prior history; a missing or foreign-schema file is rewritten from
-// scratch.
-void AppendTrackedBenchEntry(const std::string& path, const std::string& schema,
-                             const std::string& entry) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      existing = buffer.str();
-    }
-  }
-  std::string output;
-  const size_t close = existing.rfind(']');
-  if (close != std::string::npos &&
-      existing.find("\"" + schema + "\"") != std::string::npos) {
-    // Append to the existing entries array, keeping prior history.
-    const bool has_entries = existing.find('{', existing.find("\"entries\"")) < close;
-    output = existing.substr(0, close);
-    while (!output.empty() && (output.back() == ' ' || output.back() == '\n')) {
-      output.pop_back();
-    }
-    output += has_entries ? ",\n" : "\n";
-    output += entry;
-    output += "\n  ";
-    output += existing.substr(close);
-  } else {
-    output = "{\n  \"schema\": \"" + schema + "\",\n  \"entries\": [\n" + entry + "\n  ]\n}\n";
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << output;
-}
-
-void RecordClusterScaleBench();
-
-void RecordClusterBench() {
-  const std::string mode = GetEnvString("CRF_CLUSTER_BENCH", "short");
-  if (mode == "off") {
-    return;
-  }
-  if (mode == "scale") {
-    RecordClusterScaleBench();
-    return;
-  }
-  const bool full = mode == "full";
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = full ? 2048 : 192;
-  ClusterSimOptions options;
-  options.num_intervals = kIntervalsPerDay;
-  options.warmup = kIntervalsPerDay / 4;
-  // Every lane uses the production placement engine; the matrix isolates the
-  // step-loop threading. (BM_SchedulerPlace still tracks linear-scan vs
-  // indexed placement in isolation.)
-  options.placement = PlacementEngine::kIndexed;
-
-  // v4 matrix: one reference lane (the global scheduler, serial) plus one
-  // sharded lane per pool size. The reference row carries the quality
-  // numbers the sharded rows are gated against; the sharded rows carry the
-  // thread scaling. Each lane also times the generator's isolated placement
-  // phase at the same shard/pool configuration.
-  const int matrix_shards = static_cast<int>(GetEnvInt("CRF_BENCH_SHARDS", 8));
-  struct Lane {
-    int threads = 1;
-    int placement_shards = 0;
-    ClusterBenchTiming timing;
-    int64_t peak_rss_bytes = 0;
-    PlacementPhaseTiming phase;
-  };
-  std::vector<Lane> lanes;
-  {
-    options.placement_shards = 0;
-    options.pool = nullptr;
-    options.parallel = false;
-    ResetPeakRss();
-    Lane lane{1, 0, TimeClusterSim(profile, options), 0, {}};
-    lane.peak_rss_bytes = ReadPeakRssBytes();
-    lane.phase = TimePlacementPhase(profile, 0, nullptr);
-    lanes.push_back(lane);
-  }
-  for (const int threads : BenchThreadCounts()) {
-    ThreadPool pool(threads);
-    options.placement_shards = matrix_shards;
-    options.pool = &pool;
-    options.parallel = threads > 1;
-    ResetPeakRss();
-    Lane lane{threads, matrix_shards, TimeClusterSim(profile, options), 0, {}};
-    lane.peak_rss_bytes = ReadPeakRssBytes();
-    lane.phase = TimePlacementPhase(profile, matrix_shards, threads > 1 ? &pool : nullptr);
-    lanes.push_back(lane);
-  }
-
-  // Integrity gate: the determinism contract says every pool size places
-  // exactly the same tasks for a fixed (seed, shards), so sharded lanes with
-  // diverging counters would be timing different computations. (The
-  // reference lane is a different engine and legitimately differs.)
-  const Lane& first_sharded = lanes[1];
-  for (const Lane& lane : lanes) {
-    if (lane.placement_shards != matrix_shards) {
-      continue;
-    }
-    if (lane.timing.tasks_placed != first_sharded.timing.tasks_placed ||
-        lane.timing.placement_attempts != first_sharded.timing.placement_attempts) {
-      std::fprintf(stderr,
-                   "cluster bench: sharded lanes diverged (threads=%d placed %lld vs "
-                   "%lld), not recording\n",
-                   lane.threads, static_cast<long long>(lane.timing.tasks_placed),
-                   static_cast<long long>(first_sharded.timing.tasks_placed));
-      return;
-    }
-  }
-
-  const std::string matrix = TodayUtc() + std::string("-") + (full ? "full" : "short");
-  const double base = first_sharded.timing.machine_steps_per_sec;
-  const std::string path = GetEnvString("CRF_BENCH_CLUSTER_FILE", "BENCH_cluster.json");
-  for (const Lane& lane : lanes) {
-    // Serial rows (the reference engine and the one-thread sharded baseline)
-    // report speedup 1.0 by definition.
-    const double speedup = lane.threads == 1 ? 1.0 : lane.timing.machine_steps_per_sec / base;
-    std::ostringstream entry;
-    entry.precision(6);
-    entry << "    {\n"
-          << "      \"date\": \"" << TodayUtc() << "\",\n"
-          << "      \"mode\": \"" << (full ? "full" : "short") << "\",\n"
-          << "      \"matrix\": \"" << matrix << "\",\n"
-          << "      \"threads\": " << lane.threads << ",\n"
-          << "      \"parallel\": " << (lane.threads > 1 ? "true" : "false") << ",\n"
-          << "      \"host_cores\": " << HostCores() << ",\n"
-          << "      \"placement_shards\": " << lane.placement_shards << ",\n"
-          << "      \"num_machines\": " << profile.num_machines << ",\n"
-          << "      \"num_intervals\": " << options.num_intervals << ",\n"
-          << "      \"machine_steps_per_sec\": " << lane.timing.machine_steps_per_sec << ",\n"
-          << "      \"placements_per_sec\": " << lane.timing.placements_per_sec << ",\n"
-          << "      \"parallel_speedup\": " << speedup << ",\n"
-          << "      \"placement_attempts\": " << lane.timing.placement_attempts << ",\n"
-          << "      \"tasks_placed\": " << lane.timing.tasks_placed << ",\n"
-          << "      \"tasks_timed_out\": " << lane.timing.tasks_timed_out << ",\n"
-          << "      \"pending_task_intervals\": " << lane.timing.pending_task_intervals
-          << ",\n"
-          << "      \"violation_rate_p90\": " << lane.timing.violation_rate_p90 << ",\n"
-          << "      \"placement_phase_ms\": " << lane.phase.ms << ",\n"
-          << "      \"placement_phase_per_sec\": " << lane.phase.per_sec << ",\n"
-          << "      \"peak_rss_bytes\": " << lane.peak_rss_bytes << ",\n"
-          << "      \"load_ms\": 0,\n"
-          << "      \"load_mode\": \"generated\"\n"
-          << "    }";
-    AppendTrackedBenchEntry(path, "crf-cluster-bench-v4", entry.str());
-    std::printf(
-        "cluster bench (%s): threads=%d shards=%d %.0f machine-steps/s (%.2fx), "
-        "placement phase %.0f/s -> %s\n",
-        full ? "full" : "short", lane.threads, lane.placement_shards,
-        lane.timing.machine_steps_per_sec, speedup, lane.phase.per_sec, path.c_str());
-  }
-}
-
-// $CRF_CLUSTER_BENCH=scale: the cloud-scale stream-generate / mmap-load /
-// streaming-replay pipeline (see the v3 schema comment above). One row per
-// run, mode "scale".
-void RecordClusterScaleBench() {
-  const int num_machines = static_cast<int>(GetEnvInt("CRF_SCALE_MACHINES", 100000));
-  const int probes = static_cast<int>(GetEnvInt("CRF_SCALE_PROBES", 16));
-  const int shards = static_cast<int>(GetEnvInt("CRF_SCALE_SHARDS", 8));
-  const int threads = static_cast<int>(GetEnvInt("CRF_SCALE_THREADS", HostCores()));
-  std::string trace_path = GetEnvString("CRF_BENCH_SCALE_TRACE", "");
-  const bool keep_trace = !trace_path.empty();
-  if (!keep_trace) {
-    trace_path =
-        (std::filesystem::temp_directory_path() / "crf_bench_scale.crftrace").string();
-  }
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = num_machines;
-  GeneratorOptions gen_options;
-  gen_options.num_intervals = kIntervalsPerDay;
-  // A full worst-fit scan per placement is O(machines); at 100k machines the
-  // placement phase alone would dwarf the I/O being measured, so the scale
-  // lane uses bounded-probe placement (still deterministic for the seed).
-  gen_options.placement_probes = probes;
-  // Sharded placement + a generation pool: the placement batches and the
-  // per-machine usage loops run shard-parallel. The bytes depend on
-  // (seed, shards, probes) but never on the pool size.
-  gen_options.placement_shards = shards;
-  std::optional<ThreadPool> gen_pool;
-  if (threads > 1) {
-    gen_pool.emplace(threads);
-    gen_options.pool = &*gen_pool;
-  }
-
-  std::printf(
-      "cluster bench (scale): streaming %d machines x %d intervals "
-      "(%d shards, %d threads) -> %s\n",
-      num_machines, static_cast<int>(gen_options.num_intervals), shards, threads,
-      trace_path.c_str());
-  ResetPeakRss();
-  std::string error;
-  StreamedTraceInfo info;
-  const auto gen_start = std::chrono::steady_clock::now();
-  if (!GenerateCellTraceToFile(profile, gen_options, Rng(10), trace_path, &error, &info)) {
-    std::fprintf(stderr, "cluster bench (scale): streaming generation failed: %s\n",
-                 error.c_str());
-    return;
-  }
-  const double gen_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - gen_start)
-          .count();
-  const int64_t gen_peak_rss = ReadPeakRssBytes();
-
-  ResetPeakRss();
-  TraceLoadOptions load_options;
-  load_options.mode = TraceLoadMode::kMapped;
-  const auto load_start = std::chrono::steady_clock::now();
-  std::optional<CellTrace> cell = LoadCellTrace(trace_path, load_options, &error);
-  const double load_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - load_start)
-          .count();
-  if (!cell.has_value()) {
-    std::fprintf(stderr, "cluster bench (scale): mmap load failed: %s\n", error.c_str());
-    return;
-  }
-  // Arena pages this process materialized during the open (the mapping's own
-  // smaps Rss — not mincore residency, which would count the hot page cache
-  // the writer just left behind).
-  const int64_t resident_after_load = ReadMappedFileRssBytes(trace_path);
-
-  // Serial streaming replay straight off the mapped arena: the replayer
-  // drops each machine's usage pages after its last tick, so peak RSS tracks
-  // machines-in-flight, not the trace.
-  ReplayOptions replay_options;
-  replay_options.parallel = false;
-  replay_options.latency_sample_period = 0;
-  const auto replay_start = std::chrono::steady_clock::now();
-  StreamReplayer replayer(*cell, ProductionMaxSpec(), replay_options);
-  replayer.AdvanceToEnd();
-  const uint64_t events = replayer.Metrics().TotalEvents();
-  const SimResult result = replayer.Finish();
-  const double replay_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - replay_start).count();
-  double mean_violation_rate = result.MeanViolationRate();
-  benchmark::DoNotOptimize(mean_violation_rate);
-  const double events_per_sec = static_cast<double>(events) / replay_seconds;
-  // Covers the mapped load and the whole replay; generation is reported
-  // separately (its watermark belongs to the writer, not the reader path).
-  // Peak RSS here is dominated by the replayer's per-machine predictor and
-  // per-task history state — O(cell), not O(trace) — so it is recorded, not
-  // gated against the file size. The zero-copy claim for the replay phase is
-  // the next line: arena pages still resident once the replay has walked the
-  // whole trace. DropMachinePages must have kept that near the metadata
-  // floor; a replay that materialized the bulk slabs shows up as ~file_bytes.
-  const int64_t peak_rss = ReadPeakRssBytes();
-  const int64_t resident_after_replay = ReadMappedFileRssBytes(trace_path);
-
-  std::ostringstream entry;
-  entry.precision(6);
-  entry << "    {\n"
-        << "      \"date\": \"" << TodayUtc() << "\",\n"
-        << "      \"mode\": \"scale\",\n"
-        << "      \"matrix\": \"" << TodayUtc() << "-scale\",\n"
-        << "      \"threads\": " << std::max(1, threads) << ",\n"
-        << "      \"parallel\": " << (threads > 1 ? "true" : "false") << ",\n"
-        << "      \"host_cores\": " << HostCores() << ",\n"
-        << "      \"placement_shards\": " << shards << ",\n"
-        << "      \"num_machines\": " << num_machines << ",\n"
-        << "      \"num_intervals\": " << gen_options.num_intervals << ",\n"
-        << "      \"num_tasks\": " << info.num_tasks << ",\n"
-        << "      \"placement_probes\": " << probes << ",\n"
-        << "      \"placement_ms\": " << info.placement_ms << ",\n"
-        << "      \"placement_attempts\": " << info.placement_attempts << ",\n"
-        << "      \"placements_per_sec\": "
-        << (info.placement_ms > 0.0 ? info.placement_attempts * 1000.0 / info.placement_ms
-                                    : 0.0)
-        << ",\n"
-        << "      \"file_bytes\": " << info.file_bytes << ",\n"
-        << "      \"gen_ms\": " << gen_ms << ",\n"
-        << "      \"gen_peak_rss_bytes\": " << gen_peak_rss << ",\n"
-        << "      \"load_ms\": " << load_ms << ",\n"
-        << "      \"load_mode\": \"mmap\",\n"
-        << "      \"resident_after_load_bytes\": " << resident_after_load << ",\n"
-        << "      \"resident_after_replay_bytes\": " << resident_after_replay << ",\n"
-        << "      \"events\": " << events << ",\n"
-        << "      \"events_per_sec\": " << events_per_sec << ",\n"
-        << "      \"peak_rss_bytes\": " << peak_rss << "\n"
-        << "    }";
-  const std::string path = GetEnvString("CRF_BENCH_CLUSTER_FILE", "BENCH_cluster.json");
-  AppendTrackedBenchEntry(path, "crf-cluster-bench-v4", entry.str());
-  std::printf(
-      "cluster bench (scale): %d machines, %lld tasks, gen %.0f ms "
-      "(peak rss %.1f MB), mmap load %.2f ms (%.1f MB resident of %.1f MB file), "
-      "replay %.0f events/s (%.1f MB arena resident after, peak rss %.1f MB) -> %s\n",
-      num_machines, static_cast<long long>(info.num_tasks), gen_ms,
-      gen_peak_rss / 1048576.0, load_ms, resident_after_load / 1048576.0,
-      info.file_bytes / 1048576.0, events_per_sec, resident_after_replay / 1048576.0,
-      peak_rss / 1048576.0, path.c_str());
-
-  if (!keep_trace) {
-    std::error_code ec;
-    std::filesystem::remove(trace_path, ec);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_sweep.json: tracked sweep-engine throughput record.
-//
-// Controlled by $CRF_SWEEP_BENCH: "off" skips, "short" (default) runs the
-// 27-point Fig 8+9-style grid (n-sigma, rc-like, chance, flex axes) over a
-// small cell-half-week, "full" over a larger cell-week. Times the per-spec
-// SimulateCell loop against one SimulateCellMulti call — both behind one
-// shared OracleCache, so the ratio isolates the engine, not oracle
-// recomputation. The record lands in $CRF_BENCH_SWEEP_FILE (default
-// ./BENCH_sweep.json) as {"schema":"crf-sweep-bench-v2","entries":[...]};
-// reruns append. v2 adds the grid-level tail columns (worst violation
-// streak, worst severity p999, worst savings-at-risk across all
-// spec-machine pairs) so the tracked record captures the risk profile of
-// the grid, not just its mean throughput.
-
-void RecordSweepBench() {
-  const std::string mode = GetEnvString("CRF_SWEEP_BENCH", "short");
-  if (mode == "off") {
-    return;
-  }
-  const bool full = mode == "full";
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = full ? 48 : 16;
-  GeneratorOptions gen_options;
-  gen_options.num_intervals = full ? kIntervalsPerWeek : kIntervalsPerWeek / 2;
-  CellTrace cell = GenerateCellTrace(profile, gen_options, Rng(11));
-  cell.FilterToServingTasks();
-  const std::vector<PredictorSpec> specs = SweepGridSpecs();
-
-  OracleCache cache;
-  SimOptions options;
-  options.oracle_cache = &cache;
-
-  // Warm-up pass: pages in the code and fills the oracle cache, so both
-  // timed passes run against a warm memo and differ only in engine work.
-  SimulateCellMulti(cell, specs, options);
-
-  const auto per_spec_start = std::chrono::steady_clock::now();
-  std::vector<SimResult> per_spec;
-  per_spec.reserve(specs.size());
-  for (const PredictorSpec& spec : specs) {
-    per_spec.push_back(SimulateCell(cell, spec, options));
-  }
-  const double per_spec_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - per_spec_start)
-          .count();
-
-  const auto multi_start = std::chrono::steady_clock::now();
-  const std::vector<SimResult> multi = SimulateCellMulti(cell, specs, options);
-  const double multi_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - multi_start).count();
-
-  // Integrity gate: the engines claim matching metrics (including the
-  // crf/risk tail metrics), so a tracked speedup with diverging results
-  // would be meaningless.
-  int64_t total_violations = 0;
-  int64_t max_violation_streak = 0;
-  double worst_severity_p999 = 0.0;
-  double worst_savings_at_risk = std::numeric_limits<double>::infinity();
-  for (size_t s = 0; s < specs.size(); ++s) {
-    for (size_t m = 0; m < per_spec[s].machines.size(); ++m) {
-      const MachineMetrics& a = per_spec[s].machines[m];
-      const MachineMetrics& b = multi[s].machines[m];
-      if (a.violations != b.violations ||
-          a.tail.max_violation_streak != b.tail.max_violation_streak ||
-          a.tail.severity_p999 != b.tail.severity_p999 ||
-          a.tail.savings_at_risk != b.tail.savings_at_risk) {
-        std::fprintf(stderr,
-                     "sweep bench: engines diverged (spec %zu machine %zu), not recording\n",
-                     s, m);
-        return;
-      }
-      total_violations += a.violations;
-      max_violation_streak = std::max(max_violation_streak, a.tail.max_violation_streak);
-      worst_severity_p999 = std::max(worst_severity_p999, a.tail.severity_p999);
-      if (a.occupied_intervals > 0) {
-        worst_savings_at_risk = std::min(worst_savings_at_risk, a.tail.savings_at_risk);
-      }
-    }
-    const double savings_delta =
-        std::abs(per_spec[s].MeanCellSavings() - multi[s].MeanCellSavings());
-    if (savings_delta > 1e-9) {
-      std::fprintf(stderr, "sweep bench: savings diverged (spec %zu), not recording\n", s);
-      return;
-    }
-  }
-
-  const double machine_sims =
-      static_cast<double>(specs.size()) * static_cast<double>(cell.num_machines());
-  const double speedup = per_spec_seconds / multi_seconds;
-  std::ostringstream entry;
-  entry.precision(6);
-  entry << "    {\n"
-        << "      \"date\": \"" << TodayUtc() << "\",\n"
-        << "      \"mode\": \"" << (full ? "full" : "short") << "\",\n"
-        << "      \"threads\": " << ThreadPool::Default().num_threads() << ",\n"
-        << "      \"num_machines\": " << profile.num_machines << ",\n"
-        << "      \"num_intervals\": " << gen_options.num_intervals << ",\n"
-        << "      \"num_specs\": " << specs.size() << ",\n"
-        << "      \"per_spec_machines_per_sec\": " << machine_sims / per_spec_seconds << ",\n"
-        << "      \"multi_machines_per_sec\": " << machine_sims / multi_seconds << ",\n"
-        << "      \"speedup\": " << speedup << ",\n"
-        << "      \"total_violations\": " << total_violations << ",\n"
-        << "      \"max_violation_streak\": " << max_violation_streak << ",\n"
-        << "      \"worst_severity_p999\": " << worst_severity_p999 << ",\n"
-        << "      \"worst_savings_at_risk\": "
-        << (std::isfinite(worst_savings_at_risk) ? worst_savings_at_risk : 0.0) << "\n"
-        << "    }";
-
-  const std::string path = GetEnvString("CRF_BENCH_SWEEP_FILE", "BENCH_sweep.json");
-  AppendTrackedBenchEntry(path, "crf-sweep-bench-v2", entry.str());
-  std::printf("sweep bench (%s): per-spec %.3fs multi %.3fs over %zu specs (%.2fx) -> %s\n",
-              full ? "full" : "short", per_spec_seconds, multi_seconds, specs.size(), speedup,
-              path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_trace.json: tracked trace-layout throughput record.
-//
-// Controlled by $CRF_TRACE_BENCH: "off" skips, "short" (default) scans a
-// 16-machine half-week cell, "full" a 64-machine fortnight (long enough
-// that the arena's bulk dwarfs the per-task metadata a mapped open
-// faults in, so the residency ratio below is a clean order-of-magnitude
-// signal). Times full-cell machine scans of the columnar arena through
-// MachineSeriesCursor and records the arena's footprint in bytes per
-// task-interval. The cell is also saved as a binary .crftrace and opened
-// both ways — heap (one fread of the whole arena) and mmap (zero-copy) —
-// recording per-mode load time and the process-RSS growth of the open,
-// before anything touches the samples. A heap load materializes the whole
-// arena; the mapped open only faults the metadata slabs the validator
-// reads, so both ratios are the tracked order-of-magnitude proof of the
-// zero-copy claim. v3 drops the array-of-structs comparison columns: that
-// layout is no longer in the library, so they timed a rebuilt copy of dead
-// code. The record lands in $CRF_BENCH_TRACE_FILE (default ./BENCH_trace.json) as
-// {"schema":"crf-trace-bench-v3","entries":[...]}; reruns append.
-
-void RecordTraceBench() {
-  const std::string mode = GetEnvString("CRF_TRACE_BENCH", "short");
-  if (mode == "off") {
-    return;
-  }
-  const bool full = mode == "full";
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = full ? 64 : 16;
-  GeneratorOptions gen_options;
-  gen_options.num_intervals = full ? 2 * kIntervalsPerWeek : kIntervalsPerWeek / 2;
-  CellTrace cell = GenerateCellTrace(profile, gen_options, Rng(12));
-  cell.FilterToServingTasks();
-  MachineSeriesCursor cursor(cell);
-
-  ScanAllMachinesArena(cell, cursor);  // Warm-up: page in the arena before timing.
-  int reps = 0;
-  const auto scan_start = std::chrono::steady_clock::now();
-  double scan_seconds = 0.0;
-  do {
-    double checksum = ScanAllMachinesArena(cell, cursor);
-    benchmark::DoNotOptimize(checksum);
-    ++reps;
-    scan_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - scan_start).count();
-  } while (scan_seconds < 0.5);
-  const double arena_seconds = scan_seconds / reps;
-
-  const double scans = static_cast<double>(cell.num_machines());
-  const int64_t task_intervals = cell.usage_sample_count();
-  const double arena_bytes_per_ti =
-      task_intervals > 0
-          ? static_cast<double>(cell.arena_bytes().size()) / static_cast<double>(task_intervals)
-          : 0.0;
-
-  // Load-path comparison: save the cell as a binary trace, then open it
-  // heap vs mmap, measuring each quantity under the cache condition where
-  // it means something.
-  //
-  // Residency is measured on a cold page cache (fsync + POSIX_FADV_DONTNEED
-  // first): a freshly written file's cache sits in large folios, and
-  // faulting one page of a folio maps the whole folio, crediting the mapped
-  // open with pages it never asked for. Cold, a heap load materializes the
-  // whole arena by construction (one fread into a fresh buffer) while a
-  // mapped load materializes only the pages the validator touched — read
-  // from the mapping's own smaps Rss (mincore would count page-cache pages
-  // the process never touched, whole-process RSS deltas pick up allocator
-  // churn).
-  //
-  // Load time is then measured hot (best of 3 once the cache is repopulated):
-  // that isolates the copy-vs-map cost the load mode controls, where cold
-  // timing would mostly rank the disk scheduler (one sequential fread vs the
-  // validator's scattered faults with readahead off).
-  const std::string trace_path =
-      (std::filesystem::temp_directory_path() / "crf_bench_trace.crftrace").string();
-  SaveCellTraceBinary(cell, trace_path);
-  const auto drop_file_cache = [&trace_path] {
-    const int fd = open(trace_path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      return;
-    }
-    fsync(fd);
-    posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    close(fd);
-  };
-  const auto measure_load = [&](TraceLoadMode load_mode, int64_t* resident_bytes) {
-    TraceLoadOptions load_options;
-    load_options.mode = load_mode;
-    const auto open_trace = [&](std::string* error) {
-      return LoadCellTrace(trace_path, load_options, error);
-    };
-    // Cold rep: residency.
-    drop_file_cache();
-    *resident_bytes = 0;
-    {
-      std::string error;
-      std::optional<CellTrace> loaded = open_trace(&error);
-      if (!loaded.has_value()) {
-        std::fprintf(stderr, "trace bench: load failed: %s\n", error.c_str());
-        return std::numeric_limits<double>::infinity();
-      }
-      *resident_bytes = loaded->is_mapped()
-                            ? ReadMappedFileRssBytes(trace_path)
-                            : static_cast<int64_t>(loaded->arena_bytes().size());
-    }
-    // Hot reps: load time. The cold rep repopulated every page this mode
-    // reads, and rep 0 is discarded as one extra warm-up, so timed reps see
-    // a fully warm cache for their access pattern.
-    double best_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 4; ++rep) {
-      std::string error;
-      const auto start = std::chrono::steady_clock::now();
-      std::optional<CellTrace> loaded = open_trace(&error);
-      const double ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-              .count();
-      if (!loaded.has_value()) {
-        std::fprintf(stderr, "trace bench: load failed: %s\n", error.c_str());
-        return std::numeric_limits<double>::infinity();
-      }
-      if (rep > 0) {  // rep 0 is the cache warm-up
-        best_ms = std::min(best_ms, ms);
-      }
-    }
-    return best_ms;
-  };
-  int64_t heap_resident = 0;
-  int64_t mmap_resident = 0;
-  const double heap_load_ms = measure_load(TraceLoadMode::kHeap, &heap_resident);
-  const double mmap_load_ms = measure_load(TraceLoadMode::kMapped, &mmap_resident);
-  {
-    std::error_code ec;
-    std::filesystem::remove(trace_path, ec);
-  }
-  if (!std::isfinite(heap_load_ms) || !std::isfinite(mmap_load_ms)) {
-    return;
-  }
-  const double load_speedup = mmap_load_ms > 0.0 ? heap_load_ms / mmap_load_ms : 0.0;
-
-  std::ostringstream entry;
-  entry.precision(6);
-  entry << "    {\n"
-        << "      \"date\": \"" << TodayUtc() << "\",\n"
-        << "      \"mode\": \"" << (full ? "full" : "short") << "\",\n"
-        << "      \"num_machines\": " << cell.num_machines() << ",\n"
-        << "      \"num_intervals\": " << cell.num_intervals << ",\n"
-        << "      \"num_tasks\": " << cell.num_tasks() << ",\n"
-        << "      \"task_intervals\": " << task_intervals << ",\n"
-        << "      \"arena_machine_scans_per_sec\": " << scans / arena_seconds << ",\n"
-        << "      \"arena_bytes_per_task_interval\": " << arena_bytes_per_ti << ",\n"
-        << "      \"heap_load_ms\": " << heap_load_ms << ",\n"
-        << "      \"mmap_load_ms\": " << mmap_load_ms << ",\n"
-        << "      \"heap_load_resident_bytes\": " << heap_resident << ",\n"
-        << "      \"mmap_load_resident_bytes\": " << mmap_resident << ",\n"
-        << "      \"load_speedup\": " << load_speedup << "\n"
-        << "    }";
-
-  const std::string path = GetEnvString("CRF_BENCH_TRACE_FILE", "BENCH_trace.json");
-  AppendTrackedBenchEntry(path, "crf-trace-bench-v3", entry.str());
-  std::printf(
-      "trace bench (%s): arena %.0f machine-scans/s, %.1f bytes/task-interval, "
-      "load heap %.2f ms / mmap %.2f ms (%.0fx), resident %lld -> %lld bytes -> %s\n",
-      full ? "full" : "short", scans / arena_seconds, arena_bytes_per_ti, heap_load_ms,
-      mmap_load_ms, load_speedup,
-      static_cast<long long>(heap_resident), static_cast<long long>(mmap_resident),
-      path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_stream.json: tracked streaming-ingest thread-scaling matrix.
-//
-// Controlled by $CRF_STREAM_BENCH: "off" skips, "short" (default) streams a
-// 64-machine half-week cell, "full" a 2k-machine week — the problem size at
-// which shard fan-out amortizes (ROADMAP "make parallelism actually pay").
-// One row lands per pool size in $CRF_BENCH_THREADS; the `threads: 1` row is
-// the serial baseline every `parallel_speedup` is computed against. Before
-// timing, the streamed per-machine metrics are gated bit-identical against
-// the batch engine on the same cell, and each timed lane's full SimResult
-// (including the shard-merged cell series) is gated bit-identical against
-// the serial lane — a tracked events/s number for a stream that diverged
-// would be measuring a different computation. The record lands in
-// $CRF_BENCH_STREAM_FILE (default ./BENCH_stream.json) as
-// {"schema":"crf-stream-bench-v2","entries":[...]}; reruns append.
-
-void RecordStreamBench() {
-  const std::string mode = GetEnvString("CRF_STREAM_BENCH", "short");
-  if (mode == "off") {
-    return;
-  }
-  const bool full = mode == "full";
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = full ? 2048 : 64;
-  GeneratorOptions gen_options;
-  gen_options.num_intervals = full ? kIntervalsPerWeek : kIntervalsPerWeek / 2;
-  CellTrace cell = GenerateCellTrace(profile, gen_options, Rng(12));
-  cell.FilterToServingTasks();
-  const PredictorSpec spec = ProductionMaxSpec();
-
-  ReplayOptions options;
-  options.latency_sample_period = 0;
-
-  // Integrity gate 1: streamed per-machine metrics must equal the batch
-  // engine's bit for bit (the replay.h contract).
-  SimOptions sim_options;
-  sim_options.parallel = false;
-  const SimResult batch = SimulateCell(cell, spec, sim_options);
-  ReplayOptions serial_options = options;
-  serial_options.parallel = false;
-  StreamReplayer check(cell, spec, serial_options);
-  check.AdvanceToEnd();
-  const SimResult streamed = check.Finish();
-  for (int m = 0; m < cell.num_machines(); ++m) {
-    const MachineMetrics& s = streamed.machines[m];
-    const MachineMetrics& b = batch.machines[m];
-    if (s.violations != b.violations || s.occupied_intervals != b.occupied_intervals ||
-        s.mean_violation_severity != b.mean_violation_severity ||
-        s.savings_ratio != b.savings_ratio || s.mean_prediction != b.mean_prediction ||
-        s.mean_limit != b.mean_limit ||
-        s.tail.max_violation_streak != b.tail.max_violation_streak ||
-        s.tail.severity_p999 != b.tail.severity_p999) {
-      std::fprintf(stderr, "stream bench: stream diverged from batch (machine %d)\n", m);
-      return;
-    }
-  }
-  const uint64_t events = check.Metrics().TotalEvents();
-  const uint64_t ticks = check.Metrics().TotalTicks();
-
-  // Times one pool size; returns seconds per replay, or a negative value if
-  // the lane's result diverged from the serial lane (integrity gate 2: at a
-  // fixed shard count every number, including the shard-merged cell series,
-  // must be bit-identical at any pool size).
-  const auto time_replay = [&](int threads) {
-    ThreadPool pool(threads);
-    ReplayOptions run_options = options;
-    run_options.parallel = threads > 1;
-    run_options.pool = &pool;
-    {
-      StreamReplayer warm(cell, spec, run_options);
-      warm.AdvanceToEnd();
-      const SimResult lane = warm.Finish();
-      for (int m = 0; m < cell.num_machines(); ++m) {
-        const MachineMetrics& s = streamed.machines[m];
-        const MachineMetrics& l = lane.machines[m];
-        if (l.violations != s.violations ||
-            l.mean_violation_severity != s.mean_violation_severity ||
-            l.savings_ratio != s.savings_ratio || l.mean_prediction != s.mean_prediction) {
-          return -1.0;
-        }
-      }
-      if (lane.cell_savings_series != streamed.cell_savings_series) {
-        return -1.0;
-      }
-    }
-    int reps = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double seconds = 0.0;
-    do {
-      StreamReplayer replayer(cell, spec, run_options);
-      replayer.AdvanceToEnd();
-      benchmark::DoNotOptimize(replayer.next_tick());
-      ++reps;
-      seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    } while (seconds < 0.5);
-    return seconds / reps;
-  };
-
-  struct Lane {
-    int threads = 1;
-    double seconds = 0.0;
-  };
-  std::vector<Lane> lanes;
-  for (const int threads : BenchThreadCounts()) {
-    const double seconds = time_replay(threads);
-    if (seconds < 0.0) {
-      std::fprintf(stderr, "stream bench: threads=%d diverged from serial, not recording\n",
-                   threads);
-      return;
-    }
-    lanes.push_back({threads, seconds});
-  }
-
-  const std::string matrix = TodayUtc() + std::string("-") + (full ? "full" : "short");
-  const double base_seconds = lanes[0].seconds;
-  const std::string path = GetEnvString("CRF_BENCH_STREAM_FILE", "BENCH_stream.json");
-  for (const Lane& lane : lanes) {
-    const double speedup = base_seconds / lane.seconds;
-    std::ostringstream entry;
-    entry.precision(6);
-    entry << "    {\n"
-          << "      \"date\": \"" << TodayUtc() << "\",\n"
-          << "      \"mode\": \"" << (full ? "full" : "short") << "\",\n"
-          << "      \"matrix\": \"" << matrix << "\",\n"
-          << "      \"threads\": " << lane.threads << ",\n"
-          << "      \"parallel\": " << (lane.threads > 1 ? "true" : "false") << ",\n"
-          << "      \"host_cores\": " << HostCores() << ",\n"
-          << "      \"num_machines\": " << cell.num_machines() << ",\n"
-          << "      \"num_intervals\": " << cell.num_intervals << ",\n"
-          << "      \"num_tasks\": " << cell.num_tasks() << ",\n"
-          << "      \"num_shards\": " << options.num_shards << ",\n"
-          << "      \"events\": " << events << ",\n"
-          << "      \"machine_ticks\": " << ticks << ",\n"
-          << "      \"events_per_sec\": " << static_cast<double>(events) / lane.seconds
-          << ",\n"
-          << "      \"parallel_speedup\": " << speedup << "\n"
-          << "    }";
-    AppendTrackedBenchEntry(path, "crf-stream-bench-v2", entry.str());
-    std::printf("stream bench (%s): threads=%d %.0f events/s (%.2fx) over %llu events -> %s\n",
-                full ? "full" : "short", lane.threads,
-                static_cast<double>(events) / lane.seconds, speedup,
-                static_cast<unsigned long long>(events), path.c_str());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_serve.json: tracked network serve-tier throughput matrix.
-//
-// Controlled by $CRF_SERVE_BENCH: "off" skips, "short" (default) streams a
-// 64-machine half-week cell over loopback, "full" a 512-machine week. One
-// row lands per client-connection count in $CRF_SERVE_BENCH_CLIENTS
-// (default "1,4,8"): a fresh server (push-mode StreamReplayer behind the
-// CRFNET1 protocol) is stood up on an ephemeral loopback port and the load
-// generator streams the whole trace from K connections. Every lane carries
-// its own integrity gate — the loadgen's differential verify bit-compares
-// the server's end state (per-machine prediction/limit-sum bits, roster
-// hashes, cell sums) against an in-process replay — recorded per row as
-// `bit_identical`; a lane that fails the gate is recorded as false and the
-// check script rejects it. The record lands in $CRF_BENCH_SERVE_FILE
-// (default ./BENCH_serve.json) as
-// {"schema":"crf-serve-bench-v1","entries":[...]}; reruns append.
-
-void RecordServeBench() {
-  const std::string mode = GetEnvString("CRF_SERVE_BENCH", "short");
-  if (mode == "off") {
-    return;
-  }
-  const bool full = mode == "full";
-
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = full ? 512 : 64;
-  GeneratorOptions gen_options;
-  gen_options.num_intervals = full ? kIntervalsPerWeek : kIntervalsPerWeek / 2;
-  CellTrace cell = GenerateCellTrace(profile, gen_options, Rng(12));
-  cell.FilterToServingTasks();
-  const PredictorSpec spec = ProductionMaxSpec();
-
-  // The server replays push-mode: parallelism comes from the client
-  // connections driving disjoint shards, not from a replay pool. Latency
-  // sampling is disabled on both sides (options must match bit-for-bit for
-  // the differential verify).
-  ReplayOptions replay_options;
-  replay_options.parallel = false;
-  replay_options.latency_sample_period = 0;
-
-  std::vector<int> client_counts{1};
-  {
-    const std::string spec_text = GetEnvString("CRF_SERVE_BENCH_CLIENTS", "1,4,8");
-    std::stringstream in(spec_text);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-      const int n = std::atoi(token.c_str());
-      if (n >= 1) {
-        client_counts.push_back(n);
-      }
-    }
-    std::sort(client_counts.begin(), client_counts.end());
-    client_counts.erase(std::unique(client_counts.begin(), client_counts.end()),
-                        client_counts.end());
-  }
-
-  struct Lane {
-    int clients = 1;
-    LoadGenReport report;
-  };
-  std::vector<Lane> lanes;
-  for (const int clients : client_counts) {
-    StreamReplayer replayer(cell, spec, replay_options);
-    OvercommitServer server(replayer, NetServerOptions{});
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "serve bench: cannot start server: %s\n", error.c_str());
-      return;
-    }
-    LoadGenOptions options;
-    options.port = server.port();
-    options.client_threads = clients;
-    options.verify_options = replay_options;
-    Lane lane;
-    lane.clients = clients;
-    if (!RunLoadGen(cell, spec, options, &lane.report)) {
-      std::fprintf(stderr, "serve bench: clients=%d failed: %s\n", clients,
-                   lane.report.error.c_str());
-      return;
-    }
-    server.Wait();
-    lanes.push_back(std::move(lane));
-  }
-
-  const auto p99 = [](const std::vector<LoadGenOpLatency>& ops, const char* name) {
-    for (const LoadGenOpLatency& op : ops) {
-      if (op.op == name) {
-        return op.p99_ns;
-      }
-    }
-    return 0.0;
-  };
-
-  const std::string matrix = TodayUtc() + std::string("-") + (full ? "full" : "short");
-  const std::string path = GetEnvString("CRF_BENCH_SERVE_FILE", "BENCH_serve.json");
-  for (const Lane& lane : lanes) {
-    const LoadGenReport& report = lane.report;
-    std::ostringstream entry;
-    entry.precision(6);
-    entry << "    {\n"
-          << "      \"date\": \"" << TodayUtc() << "\",\n"
-          << "      \"mode\": \"" << (full ? "full" : "short") << "\",\n"
-          << "      \"matrix\": \"" << matrix << "\",\n"
-          << "      \"clients\": " << lane.clients << ",\n"
-          << "      \"host_cores\": " << HostCores() << ",\n"
-          << "      \"num_machines\": " << cell.num_machines() << ",\n"
-          << "      \"num_intervals\": " << cell.num_intervals << ",\n"
-          << "      \"num_shards\": " << replay_options.num_shards << ",\n"
-          << "      \"events\": " << report.events_sent << ",\n"
-          << "      \"events_per_sec\": " << report.events_per_sec << ",\n"
-          << "      \"ingest_p99_ns\": " << p99(report.ops, "ingest-batch") << ",\n"
-          << "      \"machine_query_p99_ns\": " << p99(report.ops, "machine-query") << ",\n"
-          << "      \"admission_p99_ns\": " << p99(report.ops, "admission-check") << ",\n"
-          << "      \"bit_identical\": " << (report.verified ? "true" : "false") << "\n"
-          << "    }";
-    AppendTrackedBenchEntry(path, "crf-serve-bench-v1", entry.str());
-    std::printf("serve bench (%s): clients=%d %.0f events/s over %llu events,"
-                " bit_identical=%s -> %s\n",
-                full ? "full" : "short", lane.clients, report.events_per_sec,
-                static_cast<unsigned long long>(report.events_sent),
-                report.verified ? "true" : "false", path.c_str());
-  }
-}
 
 }  // namespace
 }  // namespace crf
@@ -1418,10 +364,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  crf::RecordClusterBench();
-  crf::RecordSweepBench();
-  crf::RecordTraceBench();
-  crf::RecordStreamBench();
-  crf::RecordServeBench();
   return 0;
 }

@@ -91,6 +91,35 @@ PredictorSpec SimulationMaxSpec() { return MaxSpec({NSigmaSpec(5.0), RcLikeSpec(
 
 PredictorSpec ProductionMaxSpec() { return MaxSpec({NSigmaSpec(3.0), RcLikeSpec(80.0)}); }
 
+std::vector<PredictorSpec> SweepGridSpecs() {
+  std::vector<PredictorSpec> specs;
+  for (const double n : {2.0, 3.0, 5.0, 10.0}) {
+    specs.push_back(NSigmaSpec(n));
+  }
+  for (const int hours : {1, 2, 3}) {
+    specs.push_back(NSigmaSpec(5.0, hours * kIntervalsPerHour));
+  }
+  for (const int hours : {2, 5, 10}) {
+    specs.push_back(NSigmaSpec(5.0, 2 * kIntervalsPerHour, hours * kIntervalsPerHour));
+  }
+  for (const double p : {80.0, 90.0, 95.0, 99.0}) {
+    specs.push_back(RcLikeSpec(p));
+  }
+  for (const int hours : {1, 2, 3}) {
+    specs.push_back(RcLikeSpec(95.0, hours * kIntervalsPerHour));
+  }
+  for (const int hours : {2, 5, 10}) {
+    specs.push_back(RcLikeSpec(95.0, 2 * kIntervalsPerHour, hours * kIntervalsPerHour));
+  }
+  for (const double target : {0.005, 0.01, 0.05, 0.10}) {
+    specs.push_back(ChanceSpec(target));
+  }
+  for (const double p : {90.0, 95.0, 99.0}) {
+    specs.push_back(FlexSpec(p));
+  }
+  return specs;
+}
+
 std::unique_ptr<PeakPredictor> CreatePredictor(const PredictorSpec& spec) {
   switch (spec.type) {
     case PredictorSpec::Type::kLimitSum:

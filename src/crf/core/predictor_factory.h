@@ -79,6 +79,11 @@ PredictorSpec SimulationMaxSpec();
 // max(n-sigma(3), rc-like(p80)) with 2h warm-up and 10h history.
 PredictorSpec ProductionMaxSpec();
 
+// The Fig 8+9-shaped sweep grid, 27 points: the N-sigma multiplier/warm-up/
+// history axes, the RC-like percentile/warm-up/history axes, the chance
+// target axis and the Flex percentile axis.
+std::vector<PredictorSpec> SweepGridSpecs();
+
 std::unique_ptr<PeakPredictor> CreatePredictor(const PredictorSpec& spec);
 
 }  // namespace crf

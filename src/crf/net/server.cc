@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,7 +21,6 @@
 namespace crf {
 namespace {
 
-constexpr int kPollMillis = 200;
 constexpr size_t kReadChunk = 64 * 1024;
 
 double ElapsedNs(std::chrono::steady_clock::time_point t0,
@@ -48,7 +48,12 @@ bool SendAll(int fd, const uint8_t* data, size_t size) {
 }  // namespace
 
 OvercommitServer::OvercommitServer(StreamReplayer& replayer, const NetServerOptions& options)
-    : replayer_(replayer), options_(options), shards_(replayer.num_shards()) {}
+    : replayer_(replayer),
+      options_(options),
+      wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)),
+      shards_(replayer.num_shards()) {
+  CRF_CHECK_GE(wake_fd_, 0) << "eventfd: " << std::strerror(errno);
+}
 
 OvercommitServer::~OvercommitServer() {
   RequestStop();
@@ -66,6 +71,7 @@ OvercommitServer::~OvercommitServer() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
   }
+  ::close(wake_fd_);
 }
 
 bool OvercommitServer::Start(std::string* error) {
@@ -104,34 +110,44 @@ bool OvercommitServer::Start(std::string* error) {
   return true;
 }
 
-void OvercommitServer::Wait(const std::atomic<bool>* external_stop) {
+void OvercommitServer::Wait() {
+  pollfd pfd{wake_fd_, POLLIN, 0};
   while (!stop_.load(std::memory_order_acquire)) {
-    if (external_stop != nullptr && external_stop->load(std::memory_order_acquire)) {
-      // External (signal-driven) stop: seal exactly like the shutdown op.
-      // There is no client connection to carry a failure, so report it to
-      // the operator — otherwise a SIGINT mid-window silently exits with no
-      // checkpoint on disk.
-      ShutdownResponse response;
-      std::string error;
-      if (!Seal(/*seal=*/true, &response, &error)) {
-        std::fprintf(stderr, "crf serve: stop requested but no checkpoint was sealed: %s\n",
-                     error.c_str());
-      }
-      stop_.store(true, std::memory_order_release);
-      break;
+    ::poll(&pfd, 1, -1);
+  }
+  if (seal_on_stop_.load(std::memory_order_acquire)) {
+    // Sealed (signal-driven) stop: seal exactly like the shutdown op. There
+    // is no client connection to carry a failure, so report it to the
+    // operator — otherwise a SIGINT mid-window silently exits with no
+    // checkpoint on disk.
+    ShutdownResponse response;
+    std::string error;
+    if (!Seal(/*seal=*/true, &response, &error)) {
+      std::fprintf(stderr, "crf serve: stop requested but no checkpoint was sealed: %s\n",
+                   error.c_str());
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
 
-void OvercommitServer::RequestStop() { stop_.store(true, std::memory_order_release); }
+void OvercommitServer::RequestStop() {
+  stop_.store(true, std::memory_order_release);
+  // The counter is never read back, so the wake fd stays readable and every
+  // poll that includes it returns at once from here on.
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void OvercommitServer::RequestSealedStop() {
+  seal_on_stop_.store(true, std::memory_order_release);
+  RequestStop();
+}
 
 void OvercommitServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     ReapConnectionThreads();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) {
+    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, -1);
+    if (ready <= 0 || (pfds[0].revents & POLLIN) == 0) {
       continue;
     }
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -181,9 +197,9 @@ void OvercommitServer::ConnectionLoop(int fd, ConnectionStats* stats) {
   size_t consumed = 0;
   bool open = true;
   while (open && !stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMillis);
-    if (ready <= 0) {
+    pollfd pfds[2] = {{fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, -1);
+    if (ready <= 0 || pfds[0].revents == 0) {
       continue;
     }
     const size_t offset = buffer.size();
@@ -328,7 +344,7 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
   IngestBatchResponse response;
   bool finished_shard = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(shard.mutex);
     // A commit takes every shard lock, so while this one is held next_tick
     // stays put and the window can only be opened, never closed or moved.
     const Interval until = request.window_until;
@@ -362,11 +378,14 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
                     std::to_string(expected) + ", window ends at " + std::to_string(until) +
                     ")");
     }
-    // Open the window only once the batch is in order, so a rejected first
-    // batch leaves none open. A racing shard may have opened it first.
-    if (window < 0 && !current_window_until_.compare_exchange_strong(window, until) &&
-        window != until) {
-      return window_mismatch(window);
+    // Open the window only once the batch is in order. A racing shard may
+    // have opened it first.
+    bool opened_window = false;
+    if (window < 0) {
+      opened_window = current_window_until_.compare_exchange_strong(window, until);
+      if (!opened_window && window != until) {
+        return window_mismatch(window);
+      }
     }
 
     // Apply tick by tick. OvercommitService::IngestTick validates each
@@ -383,6 +402,13 @@ bool OvercommitServer::HandleIngest(std::span<const uint8_t> payload, Connection
       }
       const std::span<const StreamEvent> tick_events(request.events.data() + i, end - i);
       if (!replayer_.PushMachineTick(request.machine, tau, tick_events, &ingest_error)) {
+        // A batch that applied no tick leaves the window as it found it.
+        // Closing it takes every shard lock in order, so drop this one first.
+        if (opened_window && tau == request.from_tick) {
+          lock.unlock();
+          const auto locks = LockAllShards();
+          CloseUnusedWindowShardsLocked();
+        }
         return reject("ingest-batch " + ingest_error);
       }
       i = end;
@@ -425,6 +451,19 @@ void OvercommitServer::CommitWindowShardsLocked() {
   if (window >= 0 && replayer_.CommitPushedWindow(window)) {
     current_window_until_.store(-1);
   }
+}
+
+void OvercommitServer::CloseUnusedWindowShardsLocked() {
+  // A batch naming the same window may have applied ticks since the opener
+  // was refused; the window is then in use and stays open.
+  const OvercommitService& service = replayer_.service();
+  const Interval from = replayer_.next_tick();
+  for (int m = 0; m < replayer_.cell().num_machines(); ++m) {
+    if (service.LastTick(m) >= from) {
+      return;
+    }
+  }
+  current_window_until_.store(-1);
 }
 
 bool OvercommitServer::HandleMachineQuery(std::span<const uint8_t> payload,
@@ -564,7 +603,7 @@ bool OvercommitServer::HandleShutdown(std::span<const uint8_t> payload,
   if (!DecodePayload(payload, request)) {
     net_metrics_.OnRejectedFrame();
     AppendError("malformed shutdown payload", out);
-    stop_.store(true, std::memory_order_release);
+    RequestStop();
     return false;
   }
   ShutdownResponse response;
@@ -576,7 +615,7 @@ bool OvercommitServer::HandleShutdown(std::span<const uint8_t> payload,
     response.EncodeTo(writer);
     AppendFrame(WireOp::kShutdown, writer, out);
   }
-  stop_.store(true, std::memory_order_release);
+  RequestStop();
   return false;
 }
 

@@ -8,8 +8,9 @@
 //
 // The ingest protocol preserves the replayer's bit-identity contract. The
 // replayer owns all ingest progress; the server keeps only one cell-wide
-// window end W. The first valid batch opens the window [next_tick, W) and
-// every later batch must name the same W. A batch's position is derived
+// window end W. The first in-order batch opens the window [next_tick, W)
+// and every later batch must name the same W; if that batch then applies no
+// tick, it closes the window again before it answers. A batch's position is derived
 // from OvercommitService::LastTick: it must continue its machine at
 // LastTick(m) + 1, and unless m is its shard's first machine, machine m - 1
 // must already have streamed through W - 1. Within a shard that is exactly
@@ -84,15 +85,18 @@ class OvercommitServer {
   // The bound port (valid after Start; resolves port 0 bindings).
   int port() const { return port_; }
 
-  // Blocks until a shutdown op arrives or `external_stop` becomes true
-  // (polled; pass nullptr to wait for the op alone). An external stop seals
-  // a checkpoint exactly like the shutdown op when the committed state
-  // allows it; a seal failure is reported on stderr (there is no client to
-  // carry the error frame).
-  void Wait(const std::atomic<bool>* external_stop = nullptr);
+  // Blocks until the server stops: a shutdown op, RequestStop() or
+  // RequestSealedStop(). After a sealed stop it seals a checkpoint exactly
+  // like the shutdown op when the committed state allows it; a seal failure
+  // is reported on stderr (there is no client to carry the error frame).
+  void Wait();
 
   // Asynchronously requests a stop without sealing (tests/teardown).
   void RequestStop();
+
+  // Requests a stop that Wait() seals. Async-signal-safe (an atomic store
+  // and a write(2)), so a SIGINT/SIGTERM handler may call it.
+  void RequestSealedStop();
 
   // Post-shutdown report: whether a checkpoint was sealed and where.
   bool sealed() const { return sealed_; }
@@ -119,8 +123,8 @@ class OvercommitServer {
 
   void AcceptLoop();
   // Joins and discards connection threads whose loop has finished (called
-  // from the acceptor each poll round, so churn does not accumulate
-  // joinable handles).
+  // from the acceptor each time its poll returns, so churn does not
+  // accumulate joinable handles).
   void ReapConnectionThreads();
   void ConnectionLoop(int fd, ConnectionStats* stats);
   // Dispatches one decoded frame; appends the response frame to `out`.
@@ -144,6 +148,9 @@ class OvercommitServer {
   // Commits and closes the open window once every machine has streamed it;
   // until then leaves it open. Caller holds every shard lock.
   void CommitWindowShardsLocked();
+  // Closes the open window if no machine has pushed a tick into it (its
+  // opener was refused). Caller holds every shard lock.
+  void CloseUnusedWindowShardsLocked();
   // Folds per-shard elapsed seconds into ServeMetrics and refreshes the
   // "net" section. Caller holds every shard lock.
   void RefreshMetricsShardsLocked();
@@ -160,15 +167,20 @@ class OvercommitServer {
   NetServerOptions options_;
   int port_ = 0;
   int listen_fd_ = -1;
+  // eventfd in every poll set: RequestStop() makes it readable for good, so
+  // the acceptor, each connection and Wait() block without a timeout.
+  int wake_fd_ = -1;
 
   // End of the open ingest window, or -1 when none is open. Opened by the
-  // first valid batch (compare-exchange under its shard lock), closed by the
-  // commit under every shard lock.
+  // first in-order batch (compare-exchange under its shard lock), closed by
+  // the commit, or by a refused opener that applied nothing, under every
+  // shard lock.
   std::atomic<Interval> current_window_until_{-1};
   std::vector<NetShard> shards_;
 
   NetMetrics net_metrics_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> seal_on_stop_{false};
   std::thread acceptor_;
   std::mutex threads_mutex_;
   std::vector<std::unique_ptr<ConnectionThread>> connection_threads_;

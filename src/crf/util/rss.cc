@@ -41,8 +41,6 @@ int64_t ReadPeakRssBytes() {
   return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // ru_maxrss is in kB on Linux
 }
 
-int64_t ReadCurrentRssBytes() { return ReadStatusField("VmRSS"); }
-
 int64_t ReadMappedFileRssBytes(const std::string& path) {
   std::FILE* file = std::fopen("/proc/self/smaps", "r");
   if (file == nullptr) {

@@ -20,9 +20,6 @@ namespace crf {
 // start or the last successful ResetPeakRss(). Returns 0 if unavailable.
 int64_t ReadPeakRssBytes();
 
-// Current resident set size in bytes (VmRSS). Returns 0 if unavailable.
-int64_t ReadCurrentRssBytes();
-
 // Resets the kernel's peak-RSS watermark to the current RSS (writes "5" to
 // /proc/self/clear_refs). Returns false where unsupported; callers should
 // then treat ReadPeakRssBytes() as a whole-process figure.

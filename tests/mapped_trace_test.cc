@@ -9,7 +9,9 @@
 
 #include "crf/trace/trace_io.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -19,9 +21,12 @@
 #include <optional>
 #include <string>
 
+#include "crf/core/predictor_factory.h"
+#include "crf/serve/replay.h"
 #include "crf/trace/generator.h"
 #include "crf/trace/trace.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/util/rss.h"
 
 namespace crf {
 namespace {
@@ -330,6 +335,72 @@ TEST(MappedTraceTest, ResidencyAndPageHints) {
       EXPECT_EQ(ua[k], ub[k]);
     }
   }
+  std::remove(path.c_str());
+}
+
+// Writes the file's dirty pages and evicts its page cache, so the next open
+// faults in only what it reads. A freshly written file sits in large folios,
+// and faulting one page of a folio maps the whole folio.
+void DropFileCache(const std::string& path) {
+  const int fd = open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0) << path;
+  fsync(fd);
+  posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+  close(fd);
+}
+
+// The zero-copy claim at the size of a two-week, 64-machine cell (27,264
+// tasks, about 2.9M task-intervals): a cold mapped open materializes at most
+// what a heap open does and at least ten times less, and a serial replay over
+// the mapping hands each finished machine's pages back, so it ends with at
+// most four times the open's resident bytes. Resident bytes are the
+// mapping's own smaps Rss.
+TEST(MappedTraceTest, MappedOpenAndReplayStayAnOrderOfMagnitudeUnderTheArena) {
+  constexpr int kMachines = 64;
+  constexpr int kTasksPerMachine = 426;
+  constexpr Interval kTaskLength = 108;
+  constexpr Interval kStride = 9;
+  CellTraceBuilder builder("residency", 2 * kIntervalsPerWeek, kMachines);
+  Rng rng(17);
+  TaskId id = 1;
+  for (int m = 0; m < kMachines; ++m) {
+    for (int k = 0; k < kTasksPerMachine; ++k, ++id) {
+      const double limit = 0.02 + 0.06 * rng.UniformDouble();
+      const int32_t index =
+          builder.AddTask(id, id, m, k * kStride, limit, SchedulingClass::kLatencySensitive);
+      builder.ReserveUsage(index, kTaskLength);
+      for (Interval t = 0; t < kTaskLength; ++t) {
+        builder.AppendUsage(index, static_cast<float>(limit * rng.UniformDouble()));
+      }
+    }
+  }
+  const CellTrace original = builder.Seal();
+  ASSERT_GE(original.num_tasks(), 27214);
+  ASSERT_GE(original.usage_sample_count(), 2918902);
+  const std::string saved = TempPath("residency.crftrace");
+  SaveCellTraceBinary(original, saved);
+  // smaps names the mapping by its resolved path.
+  const std::string path = std::filesystem::canonical(saved).string();
+
+  std::string error;
+  const auto heap = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
+  ASSERT_TRUE(heap.has_value()) << error;
+  const auto heap_resident = static_cast<int64_t>(heap->arena_bytes().size());
+
+  DropFileCache(path);
+  const auto mapped = LoadMapped(path, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  const int64_t open_resident = ReadMappedFileRssBytes(path);
+  ASSERT_GT(open_resident, 0);
+  EXPECT_LE(open_resident, heap_resident);
+  EXPECT_GE(heap_resident, 10 * open_resident);
+
+  ReplayOptions options;
+  options.parallel = false;
+  options.latency_sample_period = 0;
+  StreamReplayer replayer(*mapped, ProductionMaxSpec(), options);
+  replayer.AdvanceToEnd();
+  EXPECT_LE(ReadMappedFileRssBytes(path), 4 * open_resident);
   std::remove(path.c_str());
 }
 

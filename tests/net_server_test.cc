@@ -15,13 +15,17 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "crf/core/predictor_factory.h"
 #include "crf/core/spec_parser.h"
 #include "crf/net/client.h"
 #include "crf/net/loadgen.h"
 #include "crf/serve/checkpoint.h"
 #include "crf/serve/replay.h"
+#include "crf/trace/cell_profile.h"
+#include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
 
@@ -129,26 +133,38 @@ class NetServerFamilyTest : public ::testing::TestWithParam<const char*> {};
 // The tentpole differential: stream the whole trace over loopback and
 // bit-compare every machine's end state (and the cell sums) against an
 // in-process replay of the same trace — per predictor family, including the
-// chance/flex families whose state machines are the most intricate.
+// chance/flex families whose state machines are the most intricate, from 1,
+// 2 and 8 client threads (8 over 16 shards, so every thread owns shards).
 TEST_P(NetServerFamilyTest, LoopbackStateIsBitIdenticalToInProcessReplay) {
   const CellTrace cell = RandomCell(101);
   std::string spec_error;
   const auto spec = ParsePredictorSpec(GetParam(), &spec_error);
   ASSERT_TRUE(spec.has_value()) << spec_error;
 
-  ServerHarness harness(cell, *spec);
-  ASSERT_TRUE(harness.started);
+  struct Lane {
+    int clients;
+    int shards;
+  };
+  for (const Lane& lane : {Lane{1, 4}, Lane{2, 4}, Lane{8, 16}}) {
+    SCOPED_TRACE(::testing::Message() << lane.clients << " clients");
+    ReplayOptions replay = TestReplayOptions();
+    replay.num_shards = lane.shards;
+    ServerHarness harness(cell, *spec, "", replay);
+    ASSERT_TRUE(harness.started);
 
-  LoadGenReport report;
-  ASSERT_TRUE(RunLoadGen(cell, *spec, TestLoadGenOptions(harness.server->port()), &report))
-      << report.error;
-  EXPECT_GT(report.events_sent, 0u);
-  EXPECT_TRUE(report.verify_ran);
-  EXPECT_EQ(report.mismatched_machines, 0);
-  EXPECT_TRUE(report.verified);
-  EXPECT_TRUE(report.shutdown_sent);
-  harness.server->Wait();
-  EXPECT_TRUE(harness.replayer->Done());
+    LoadGenOptions options = TestLoadGenOptions(harness.server->port());
+    options.client_threads = lane.clients;
+    options.verify_options = replay;
+    LoadGenReport report;
+    ASSERT_TRUE(RunLoadGen(cell, *spec, options, &report)) << report.error;
+    EXPECT_GT(report.events_sent, 0u);
+    EXPECT_TRUE(report.verify_ran);
+    EXPECT_EQ(report.mismatched_machines, 0);
+    EXPECT_TRUE(report.verified);
+    EXPECT_TRUE(report.shutdown_sent);
+    harness.server->Wait();
+    EXPECT_TRUE(harness.replayer->Done());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PredictorFamilies, NetServerFamilyTest,
@@ -534,34 +550,55 @@ TEST(NetServerProtocolTest, WindowMismatchIsRejected) {
   harness.server->RequestStop();
 }
 
-// One window for the whole cell: once a shard has opened [0, T/2), a batch
-// on another shard naming T is refused and applies nothing — two open
-// window ends could never commit together — and the server stays live: the
-// window still commits, verifies and seals.
-TEST(NetServerProtocolTest, MismatchedWindowIsRejectedAndServerStaysLive) {
-  const CellTrace cell = RandomCell(808);
+// Streams every machine's ticks [LastTick + 1, until) in machine order over
+// one connection, which keeps each shard's machines in ascending order.
+void StreamWindowByHand(const CellTrace& cell, int port, Interval until) {
+  NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+  const EventLog log(cell);
+  for (int m = 0; m < cell.num_machines(); ++m) {
+    MachineQueryRequest query;
+    query.machine = m;
+    const auto state = client.MachineQuery(query, &error);
+    ASSERT_TRUE(state.has_value()) << error;
+    IngestBatchRequest request;
+    request.machine = m;
+    request.from_tick = state->last_tick + 1;
+    request.until_tick = until;
+    request.window_until = until;
+    EventLog::MachineCursor cursor = log.CreateCursor(m);
+    cursor.Seek(request.from_tick);
+    for (Interval t = request.from_tick; t < until; ++t) {
+      cursor.EmitTick(t, request.events);
+    }
+    ASSERT_TRUE(client.IngestBatch(request, &error).has_value()) << error;
+  }
+}
+
+// A first batch that is in order but refused by IngestTick applies nothing,
+// so it must not fix the window end for the cell: a valid batch on another
+// shard naming a different end is then accepted.
+TEST(NetServerProtocolTest, RejectedFirstBatchLeavesNoWindowOpen) {
+  const CellTrace cell = RandomCell(818);
   std::string spec_error;
   const auto spec = ParsePredictorSpec("n-sigma:3", &spec_error);
   ASSERT_TRUE(spec.has_value()) << spec_error;
-  const std::string ckpt = TempPath("live.ckpt");
-  ServerHarness harness(cell, *spec, ckpt);
+  ServerHarness harness(cell, *spec);
   ASSERT_TRUE(harness.started);
   const int port = harness.server->port();
-  const Interval half = cell.num_intervals / 2;
   EventLog log(cell);
 
   std::string error;
   {
-    // Machine 0's tick 0 is in order, so the batch opens the window to T/2;
-    // a trailing departure of a non-resident task then makes IngestTick
-    // refuse the tick, so nothing is applied.
+    // Machine 0's tick 0 with a trailing departure of a non-resident task.
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
     IngestBatchRequest request;
     request.machine = 0;
     request.from_tick = 0;
     request.until_tick = 1;
-    request.window_until = half;
+    request.window_until = cell.num_intervals / 2;
     EventLog::MachineCursor cursor = log.CreateCursor(0);
     cursor.EmitTick(0, request.events);
     StreamEvent bogus;
@@ -572,6 +609,55 @@ TEST(NetServerProtocolTest, MismatchedWindowIsRejectedAndServerStaysLive) {
     bogus.limit = 0.5;
     request.events.push_back(bogus);
     EXPECT_FALSE(client.IngestBatch(request, &error).has_value());
+    EXPECT_NE(error.find("departure"), std::string::npos) << error;
+  }
+  const int other =
+      ShardMachineRange(cell.num_machines(), TestReplayOptions().num_shards, 1).begin;
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+  IngestBatchRequest request;
+  request.machine = other;
+  request.from_tick = 0;
+  request.until_tick = 1;
+  request.window_until = cell.num_intervals;
+  EventLog::MachineCursor cursor = log.CreateCursor(other);
+  cursor.EmitTick(0, request.events);
+  const auto response = client.IngestBatch(request, &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_EQ(response->last_tick, 0);
+  harness.server->RequestStop();
+}
+
+// One window for the whole cell: once a shard has opened [0, T/4), a batch
+// on another shard naming T is refused and applies nothing — two open
+// window ends could never commit together — and the server stays live: the
+// window still commits, and the next one verifies and seals.
+TEST(NetServerProtocolTest, MismatchedWindowIsRejectedAndServerStaysLive) {
+  const CellTrace cell = RandomCell(808);
+  std::string spec_error;
+  const auto spec = ParsePredictorSpec("n-sigma:3", &spec_error);
+  ASSERT_TRUE(spec.has_value()) << spec_error;
+  const std::string ckpt = TempPath("live.ckpt");
+  ServerHarness harness(cell, *spec, ckpt);
+  ASSERT_TRUE(harness.started);
+  const int port = harness.server->port();
+  const Interval quarter = cell.num_intervals / 4;
+  const Interval half = cell.num_intervals / 2;
+  EventLog log(cell);
+
+  std::string error;
+  {
+    // Machine 0's tick 0 opens the window to T/4.
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+    IngestBatchRequest request;
+    request.machine = 0;
+    request.from_tick = 0;
+    request.until_tick = 1;
+    request.window_until = quarter;
+    EventLog::MachineCursor cursor = log.CreateCursor(0);
+    cursor.EmitTick(0, request.events);
+    ASSERT_TRUE(client.IngestBatch(request, &error).has_value()) << error;
   }
   const int other =
       ShardMachineRange(cell.num_machines(), TestReplayOptions().num_shards, 1).begin;
@@ -599,6 +685,7 @@ TEST(NetServerProtocolTest, MismatchedWindowIsRejectedAndServerStaysLive) {
     ASSERT_TRUE(state.has_value()) << error;
     EXPECT_EQ(state->last_tick, -1);  // the refused batch applied nothing
   }
+  ASSERT_NO_FATAL_FAILURE(StreamWindowByHand(cell, port, quarter));
 
   LoadGenOptions options = TestLoadGenOptions(port);
   options.until = half;
@@ -647,6 +734,50 @@ TEST(NetServerQueryTest, AdmissionCheckUsesPredictedPeakHeadroom) {
   EXPECT_EQ(verdict->admitted, verdict->predicted_peak <= verdict->capacity);
 
   harness.server->RequestStop();
+}
+
+// Served ingest throughput: 4 loadgen client threads stream a 64-machine,
+// half-week cell 'a' trace (16 shards, production max() spec) over loopback
+// at >= 1M events/s in aggregate, with the end state bit-identical to an
+// in-process replay. A host under 4 cores cannot feed 4 client threads plus
+// the server's connection threads, and a sanitizer or unoptimized build
+// times the instrumentation, so those skip.
+TEST(NetServerThroughputTest, FourClientsIngestAtLeastOneMillionEventsPerSecond) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || !defined(NDEBUG)
+  GTEST_SKIP() << "throughput is only gated in optimized, uninstrumented builds";
+#endif
+  if (std::thread::hardware_concurrency() < 4) {
+    GTEST_SKIP() << "needs >= 4 cores, host has " << std::thread::hardware_concurrency();
+  }
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 64;
+  GeneratorOptions generator;
+  generator.num_intervals = kIntervalsPerWeek / 2;
+  CellTrace cell = GenerateCellTrace(profile, generator, Rng(12));
+  cell.FilterToServingTasks();
+  const PredictorSpec spec = ProductionMaxSpec();
+
+  // Push-mode replay: parallelism comes from the client connections driving
+  // disjoint shards. Latency sampling is off on both sides so the verify's
+  // options match the server's bit for bit.
+  ReplayOptions replay;
+  replay.parallel = false;
+  replay.latency_sample_period = 0;
+  ASSERT_EQ(replay.num_shards, 16);
+  ServerHarness harness(cell, spec, "", replay);
+  ASSERT_TRUE(harness.started);
+
+  LoadGenOptions options;
+  options.port = harness.server->port();
+  options.client_threads = 4;
+  options.verify_options = replay;
+  LoadGenReport report;
+  ASSERT_TRUE(RunLoadGen(cell, spec, options, &report)) << report.error;
+  EXPECT_TRUE(report.verified);
+  RecordProperty("events_per_sec", std::to_string(report.events_per_sec));
+  EXPECT_GE(report.events_per_sec, 1e6) << report.events_sent << " events in "
+                                         << report.elapsed_seconds << " s";
+  harness.server->Wait();
 }
 
 }  // namespace

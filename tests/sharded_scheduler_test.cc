@@ -4,8 +4,10 @@
 
 #include <cstring>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "crf/cluster/ab_experiment.h"
 #include "crf/cluster/cell_sim.h"
 #include "crf/trace/cell_profile.h"
 #include "crf/util/rng.h"
@@ -288,21 +290,43 @@ TEST(ShardedSchedulerClusterTest, ClusterSimShardedPoolSizeInvariance) {
 }
 
 // The sharded cluster sim is a different cell identity than the global
-// engine (like a different seed), but it must stay statistically close:
-// placed counts within a few percent on the same profile.
+// engine (like a different seed), but it must stay close in packing quality
+// on the same profile: placed counts within a few percent, and the violation
+// tail, pending backlog and timeouts bounded against the global reference.
+// The second input is a 192-machine day split into 8 shards, large enough
+// that shard-local placement strands capacity the global scheduler would use.
 TEST(ShardedSchedulerClusterTest, ClusterSimShardedQualityNearGlobal) {
-  CellProfile profile = SimCellProfile('a');
-  profile.num_machines = 24;
-  ClusterSimOptions options;
-  options.num_intervals = 96;
-  options.warmup = 24;
-  options.parallel = false;
-  const ClusterSimResult global = RunClusterSim(profile, options, Rng(31));
-  options.placement_shards = 4;
-  const ClusterSimResult sharded = RunClusterSim(profile, options, Rng(31));
-  ASSERT_GT(global.tasks_placed, 0);
-  EXPECT_GE(sharded.tasks_placed, (global.tasks_placed * 95) / 100);
-  EXPECT_LE(sharded.tasks_placed, (global.tasks_placed * 105) / 100);
+  struct Input {
+    int machines;
+    Interval intervals;
+    Interval warmup;
+    int shards;
+    uint64_t seed;
+  };
+  for (const Input& input :
+       {Input{24, 96, 24, 4, 31}, Input{192, kIntervalsPerDay, kIntervalsPerDay / 4, 8, 10}}) {
+    SCOPED_TRACE(::testing::Message() << input.machines << " machines, " << input.shards
+                                      << " shards");
+    CellProfile profile = SimCellProfile('a');
+    profile.num_machines = input.machines;
+    ClusterSimOptions options;
+    options.num_intervals = input.intervals;
+    options.warmup = input.warmup;
+    options.parallel = false;
+    const ClusterSimResult global = RunClusterSim(profile, options, Rng(input.seed));
+    options.placement_shards = input.shards;
+    const ClusterSimResult sharded = RunClusterSim(profile, options, Rng(input.seed));
+    const auto violation_p90 = [](const ClusterSimResult& result) {
+      return ComputeGroupMetrics(result.predictor_name, std::span(&result, 1))
+          .violation_rate.Quantile(0.9);
+    };
+    ASSERT_GT(global.tasks_placed, 0);
+    EXPECT_GE(sharded.tasks_placed, (global.tasks_placed * 97) / 100);
+    EXPECT_LE(sharded.tasks_placed, (global.tasks_placed * 105) / 100);
+    EXPECT_LE(violation_p90(sharded), violation_p90(global) + 0.02);
+    EXPECT_LE(sharded.pending_task_intervals, 2 * global.pending_task_intervals + 2000);
+    EXPECT_LE(sharded.tasks_timed_out, 2 * global.tasks_timed_out + 100);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 //    within 1e-9 relative for the floating-point aggregates. Both a dense
 //    low-churn cell and a churn-heavy cell, on the serial and the
 //    parallel-with-oracle-cache paths.
+//  * The 27-point Fig 8+9 grid (SweepGridSpecs) over a generated cell must
+//    match the per-spec loop exactly on violations and the tail metrics.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/core/sweep_bank.h"
 #include "crf/sim/simulator.h"
+#include "crf/trace/generator.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
 
@@ -323,6 +326,54 @@ TEST(SweepEngineDifferentialTest, DenseCellMatchesPerSpecSimulation) {
 
 TEST(SweepEngineDifferentialTest, ChurnHeavyCellMatchesPerSpecSimulation) {
   RunDifferential(MakeCell(43, /*churn=*/true));
+}
+
+// The Fig 8+9 grid over a generated half-week of cell 'a' (16 machines),
+// both engines behind one OracleCache: the counters and the tail metrics
+// must agree bit for bit, the mean cell savings within 1e-9.
+TEST(SweepEngineDifferentialTest, SweepGridOnGeneratedCellMatchesPerSpecSimulation) {
+  CellProfile profile = SimCellProfile('a');
+  profile.num_machines = 16;
+  GeneratorOptions generator;
+  generator.num_intervals = kIntervalsPerWeek / 2;
+  CellTrace cell = GenerateCellTrace(profile, generator, Rng(11));
+  cell.FilterToServingTasks();
+  const std::vector<PredictorSpec> specs = SweepGridSpecs();
+  ASSERT_EQ(specs.size(), 27u);
+
+  OracleCache cache;
+  SimOptions options;
+  options.oracle_cache = &cache;
+  const std::vector<SimResult> multi = SimulateCellMulti(cell, specs, options);
+  ASSERT_EQ(multi.size(), specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    SCOPED_TRACE(::testing::Message() << "spec=" << s << " (" << specs[s].Name() << ")");
+    const SimResult per_spec = SimulateCell(cell, specs[s], options);
+    ASSERT_EQ(multi[s].machines.size(), per_spec.machines.size());
+    for (size_t m = 0; m < per_spec.machines.size(); ++m) {
+      SCOPED_TRACE(::testing::Message() << "machine=" << m);
+      const MachineMetrics& a = multi[s].machines[m];
+      const MachineMetrics& b = per_spec.machines[m];
+      EXPECT_EQ(a.violations, b.violations);
+      EXPECT_EQ(a.tail.max_violation_streak, b.tail.max_violation_streak);
+      EXPECT_EQ(a.tail.severity_p999, b.tail.severity_p999);
+      EXPECT_EQ(a.tail.savings_at_risk, b.tail.savings_at_risk);
+      // Tail-metric invariants: a streak cannot outlast the trace, severity
+      // and savings are ratios, any violation opens a streak, and predictions
+      // are clamped to the limit sum, so savings on an occupied machine is
+      // non-negative up to the P² estimator's interpolation error.
+      EXPECT_LE(b.tail.max_violation_streak, cell.num_intervals);
+      EXPECT_LE(b.tail.severity_p999, 1.0);
+      EXPECT_LE(b.tail.savings_at_risk, 1.0);
+      if (b.violations > 0) {
+        EXPECT_GT(b.tail.max_violation_streak, 0);
+      }
+      if (b.occupied_intervals > 0) {
+        EXPECT_GE(b.tail.savings_at_risk, -1e-9);
+      }
+    }
+    EXPECT_NEAR(multi[s].MeanCellSavings(), per_spec.MeanCellSavings(), 1e-9);
+  }
 }
 
 TEST(SweepEngineTest, EmptySpecListYieldsNoResults) {

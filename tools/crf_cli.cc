@@ -158,13 +158,21 @@ int Fail(const std::string& message) {
 
 // SIGINT/SIGTERM request a graceful stop: the replay loop breaks at its next
 // chunk boundary (sealing a checkpoint if --checkpoint-out is set) and a
-// network server seals-and-stops through OvercommitServer::Wait.
+// network server in g_server wakes its Wait() to seal and stop.
 std::atomic<bool> g_stop{false};
+std::atomic<OvercommitServer*> g_server{nullptr};
+
+void OnStopSignal(int) {
+  g_stop.store(true);
+  if (OvercommitServer* server = g_server.load(); server != nullptr) {
+    server->RequestSealedStop();
+  }
+}
 
 void InstallStopHandlers() {
   g_stop.store(false);
-  std::signal(SIGINT, [](int) { g_stop.store(true); });
-  std::signal(SIGTERM, [](int) { g_stop.store(true); });
+  std::signal(SIGINT, OnStopSignal);
+  std::signal(SIGTERM, OnStopSignal);
 }
 
 // Strict flag accessor: an absent flag yields `fallback`; a present one must
@@ -565,8 +573,10 @@ int CmdServe(Args& args) {
                  cell->name.c_str(), replayer->spec().Name().c_str(),
                  net_options.host.c_str(), server.port(), options.num_shards,
                  replayer->next_tick(), cell->num_intervals);
+    g_server.store(&server);
     InstallStopHandlers();
-    server.Wait(&g_stop);
+    server.Wait();
+    g_server.store(nullptr);
     if (server.sealed()) {
       std::printf("checkpoint written to %s at tick %d/%d\n", server.sealed_path().c_str(),
                   server.sealed_tick(), cell->num_intervals);

@@ -54,15 +54,15 @@ ClusterMachine::StepStats ClusterMachine::Step(Interval now, double shared_load,
 
   for (auto& running : tasks_) {
     running.model.Step(sub_samples, shared_load);
-    const IntervalSummary summary = SummarizeInterval(sub_samples);
-    trace.AppendUsage(running.trace_index, summary.scalar_p90);
+    const float p90 = IntervalP90(sub_samples);
+    trace.AppendUsage(running.trace_index, p90);
     for (int k = 0; k < kSubSamplesPerInterval; ++k) {
       sums[k] += sub_samples[k];
     }
     const double limit = trace.task_limit(running.trace_index);
-    stats.usage_sum += summary.scalar_p90;
+    stats.usage_sum += p90;
     stats.limit_sum += limit;
-    samples_scratch_.push_back({trace.task_id(running.trace_index), summary.scalar_p90, limit});
+    samples_scratch_.push_back({trace.task_id(running.trace_index), p90, limit});
   }
 
   double mean_demand = 0.0;

@@ -191,6 +191,24 @@ TEST(GeneratorTest, RichStatsPopulatedOnDemand) {
   }
 }
 
+TEST(GeneratorTest, RichStatsLeaveScalarUsageUnchanged) {
+  // The rich ladder sorts each interval's sub-samples while the plain path
+  // picks the p90 by a top-three scan; the scalar usage must not notice.
+  CellProfile profile = SmallProfile();
+  profile.num_machines = 8;
+  GeneratorOptions options;
+  options.num_intervals = kIntervalsPerDay;
+  const CellTrace plain = GenerateCellTrace(profile, options, Rng(9));
+  options.rich_stats = true;
+  const CellTrace rich = GenerateCellTrace(profile, options, Rng(9));
+  ASSERT_FALSE(plain.has_rich());
+  ASSERT_TRUE(rich.has_rich());
+  ASSERT_EQ(plain.usage_sample_count(), rich.usage_sample_count());
+  EXPECT_EQ(std::memcmp(plain.usage_arena().data(), rich.usage_arena().data(),
+                        plain.usage_arena().size() * sizeof(float)),
+            0);
+}
+
 TEST(GeneratorTest, NoRichStatsByDefault) {
   CellProfile profile = SmallProfile();
   profile.num_machines = 4;

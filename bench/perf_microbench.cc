@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "crf/serve/replay.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
+#include "crf/trace/job_sampler.h"
+#include "crf/trace/workload_model.h"
 #include "crf/util/env.h"
 #include "crf/util/rng.h"
 
@@ -268,6 +271,33 @@ void BM_ClusterSim(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(attempts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ClusterSim)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The closed-loop machine step's usage synthesis in isolation: one interval
+// of 15 resident tasks (TaskUsageModel::Step plus the interval p90), with
+// cell a's job mix. Items are task-intervals.
+void BM_TaskUsageStep(benchmark::State& state) {
+  constexpr int kTasks = 15;
+  const CellProfile profile = SimCellProfile('a');
+  JobSampler sampler(profile, Rng(11));
+  Rng task_rng(13);
+  std::vector<TaskUsageModel> tasks;
+  for (int i = 0; i < kTasks; ++i) {
+    tasks.emplace_back(sampler.JitterTaskParams(sampler.NextJob().params), 0, task_rng.Fork(i));
+  }
+  std::array<double, kSubSamplesPerInterval> sub_samples;
+  double shared_load = 1.0;
+  for (auto _ : state) {
+    float p90_sum = 0.0f;
+    for (TaskUsageModel& task : tasks) {
+      task.Step(sub_samples, shared_load);
+      p90_sum += IntervalP90(sub_samples);
+    }
+    benchmark::DoNotOptimize(p90_sum);
+    shared_load = shared_load > 1.1 ? 0.9 : shared_load + 0.01;
+  }
+  state.SetItemsProcessed(state.iterations() * kTasks);
+}
+BENCHMARK(BM_TaskUsageStep);
 
 // Steady-state placement cost in isolation: one Publish + one Place per
 // iteration against a warm scheduler. Arg(0) = machine count, Arg(1) = 0 for

@@ -68,6 +68,31 @@ double PlacementCore::MaxFree() const {
   return *std::max_element(free_capacity_.begin(), free_capacity_.end());
 }
 
+int PlacementCore::CountFeasible(double limit) const {
+  if (engine_ == PlacementEngine::kIndexed) {
+    return num_machines() - tree_.RankOfKey(limit, -1);
+  }
+  return static_cast<int>(std::count_if(free_capacity_.begin(), free_capacity_.end(),
+                                        [limit](double free) { return free >= limit; }));
+}
+
+double PlacementCore::TightestFit(double limit) const {
+  double tightest = std::numeric_limits<double>::infinity();
+  if (engine_ == PlacementEngine::kIndexed) {
+    const int rank = tree_.RankOfKey(limit, -1);
+    if (rank < num_machines()) {
+      tightest = free_capacity_[tree_.MachineAtRank(rank)];
+    }
+    return tightest;
+  }
+  for (const double free : free_capacity_) {
+    if (free >= limit && free < tightest) {
+      tightest = free;
+    }
+  }
+  return tightest;
+}
+
 int PlacementCore::Place(double limit, const std::vector<int>* exclude) {
   if (num_machines() == 0) {
     return -1;

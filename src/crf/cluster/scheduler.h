@@ -83,6 +83,14 @@ class PlacementCore {
   // by the sharded scheduler's cross-shard free-capacity summaries.
   double MaxFree() const;
 
+  // Number of machines whose advertised free capacity is at least `limit`.
+  int CountFeasible(double limit) const;
+
+  // Smallest advertised free capacity that is at least `limit` (the slot a
+  // best-fit placement would take, ignoring anti-affinity), or +infinity if
+  // no machine fits. Read-only: draws nothing from the RNG.
+  double TightestFit(double limit) const;
+
  private:
   // One placement pass; `exclude == nullptr` means no exclusions (the
   // fallback pass). Returns -1 when nothing feasible remains.

@@ -6,6 +6,13 @@
 #include "crf/util/check.h"
 
 namespace crf {
+namespace {
+
+// Under best fit, a request that this many or fewer machines of its home
+// shard can hold skips the shard phase and is placed cell-wide in phase 3.
+constexpr int kScarceFitMachines = 3;
+
+}  // namespace
 
 ShardedScheduler::ShardedScheduler(const ShardedSchedulerOptions& options, const Rng& rng)
     : options_(options) {
@@ -122,6 +129,50 @@ int ShardedScheduler::PlaceOnShard(Shard& shard, const Request& request) {
   return global;
 }
 
+int ShardedScheduler::HomeShard(const Request& request) const {
+  return nonempty_[request.affinity_key % nonempty_.size()];
+}
+
+int ShardedScheduler::PlaceOnTightestShard(const Request& request) {
+  int best = -1;
+  double tightest = std::numeric_limits<double>::infinity();
+  for (const int t : nonempty_) {
+    const double fit = shards_[t]->core.TightestFit(request.limit);
+    if (fit < tightest) {
+      tightest = fit;
+      best = t;
+    }
+  }
+  // Some machine of the chosen shard fits, so the core's fallback pass that
+  // ignores anti-affinity cannot come back empty.
+  return best >= 0 ? PlaceOnShard(*shards_[best], request) : -1;
+}
+
+int ShardedScheduler::StealBySummaries(int home, const Request& request) {
+  std::fill(tried_.begin(), tried_.end(), static_cast<uint8_t>(0));
+  tried_[home] = 1;  // the shard phase already tried it
+  for (const int t : steal_order_) {
+    if (tried_[t] || shards_[t]->max_free_summary < request.limit) {
+      continue;
+    }
+    tried_[t] = 1;
+    const int machine = PlaceOnShard(*shards_[t], request);
+    if (machine >= 0) {
+      return machine;
+    }
+  }
+  for (const int t : steal_order_) {
+    if (tried_[t]) {
+      continue;
+    }
+    const int machine = PlaceOnShard(*shards_[t], request);
+    if (machine >= 0) {
+      return machine;
+    }
+  }
+  return -1;
+}
+
 void ShardedScheduler::PlaceBatch(std::span<const Request> requests, std::span<int> results) {
   CRF_CHECK_EQ(requests.size(), results.size());
   ++batches_;
@@ -144,17 +195,24 @@ void ShardedScheduler::PlaceBatch(std::span<const Request> requests, std::span<i
     shards_[s]->overflow.clear();
   }
   for (size_t i = 0; i < requests.size(); ++i) {
-    const int s = nonempty_[requests[i].affinity_key % nonempty_.size()];
-    shards_[s]->routed.push_back(static_cast<int>(i));
+    shards_[HomeShard(requests[i])]->routed.push_back(static_cast<int>(i));
   }
 
   // Phase 2 (parallel): each shard places its routed subsequence against its
   // private treap. Writes go to the shard's own state and to distinct
-  // results[i] slots only.
+  // results[i] slots only. Under best fit, a request that at most
+  // kScarceFitMachines local machines can hold is deferred to phase 3
+  // unplaced: its local best fit would spend one of the shard's last large
+  // holes, where the cell as a whole may have a tighter one.
+  const bool defer_scarce = options_.packing == PackingPolicy::kBestFit && nonempty_.size() > 1;
   const auto shard_phase = [&](int, int begin, int end) {
     for (int k = begin; k < end; ++k) {
       Shard& shard = *shards_[nonempty_[k]];
       for (const int i : shard.routed) {
+        if (defer_scarce && shard.core.CountFeasible(requests[i].limit) <= kScarceFitMachines) {
+          shard.overflow.push_back(i);
+          continue;
+        }
         const int machine = PlaceOnShard(shard, requests[i]);
         if (machine >= 0) {
           results[i] = machine;
@@ -172,40 +230,26 @@ void ShardedScheduler::PlaceBatch(std::span<const Request> requests, std::span<i
     shard_phase(0, 0, n);
   }
 
-  // Phase 3 (serial, shard order): overflow requests steal capacity from
-  // other shards, richest summary first. The summary comparison is only a
-  // fast path — if it skips everything, every remaining shard is tried
-  // anyway, so a request fails only when no shard can place it.
+  // Phase 3 (serial, batch order): the requests every shard passed on are
+  // served oldest first, as the global scheduler's queue drain serves them.
+  // Under best fit each goes to the shard holding the cell's tightest fit.
+  // Other policies steal by the summaries, richest first; that walk is only
+  // a fast path, and every remaining shard is tried before a request fails.
+  // Either way a request fails only when no shard can place it.
+  overflow_.clear();
   for (const int s : nonempty_) {
-    for (const int i : shards_[s]->overflow) {
-      const Request& request = requests[i];
-      std::fill(tried_.begin(), tried_.end(), static_cast<uint8_t>(0));
-      tried_[s] = 1;
-      int machine = -1;
-      for (const int t : steal_order_) {
-        if (tried_[t] || shards_[t]->max_free_summary < request.limit) {
-          continue;
-        }
-        tried_[t] = 1;
-        machine = PlaceOnShard(*shards_[t], request);
-        if (machine >= 0) {
-          break;
-        }
-      }
-      if (machine < 0) {
-        for (const int t : steal_order_) {
-          if (tried_[t]) {
-            continue;
-          }
-          tried_[t] = 1;
-          machine = PlaceOnShard(*shards_[t], request);
-          if (machine >= 0) {
-            break;
-          }
-        }
-      }
-      if (machine >= 0) {
-        results[i] = machine;
+    overflow_.insert(overflow_.end(), shards_[s]->overflow.begin(), shards_[s]->overflow.end());
+  }
+  std::sort(overflow_.begin(), overflow_.end());
+  for (const int i : overflow_) {
+    const Request& request = requests[i];
+    const int home = HomeShard(request);
+    const int machine = options_.packing == PackingPolicy::kBestFit
+                            ? PlaceOnTightestShard(request)
+                            : StealBySummaries(home, request);
+    if (machine >= 0) {
+      results[i] = machine;
+      if (shard_of_[machine] != home) {
         ++stolen_placements_;
       }
     }

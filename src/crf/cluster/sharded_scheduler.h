@@ -15,13 +15,17 @@
 //      independently on the epoch-dispatch pool (ParallelForRanges). A shard
 //      only ever touches its own treap, RNG, and scratch, so the thread
 //      count and claim order cannot affect any shard's decision stream.
-//   3. Steal phase (serial, shard order): requests that did not fit their
-//      home shard retry other shards, richest first by the cross-shard
-//      free-capacity summaries. Summaries are refreshed every
-//      `rebalance_interval` batches (and on every bulk publish); a stale
-//      summary only reorders the candidate walk — the steal phase falls back
-//      to trying every shard before giving up, so a request fails only if no
-//      shard can place it.
+//      Under best fit, a request that only a few home machines can hold is
+//      passed on unplaced: a shard short of room would spend one of its last
+//      large holes on it, fragmenting the cell faster than a global best fit.
+//   3. Steal phase (serial, batch order): the requests the shards passed on
+//      are served oldest first. Under best fit each goes to the shard holding
+//      the cell's tightest fit. Other policies retry the other shards,
+//      richest first by the cross-shard free-capacity summaries. Summaries
+//      are refreshed every `rebalance_interval` batches (and on every bulk
+//      publish); a stale summary only reorders the candidate walk — it falls
+//      back to trying every shard before giving up. Either way a request
+//      fails only if no shard can place it.
 //
 // Determinism contract: for a fixed (seed, num_shards) the full result
 // sequence — placements, debited capacities, per-shard RNG states — is
@@ -47,8 +51,10 @@ namespace crf {
 struct ShardedSchedulerOptions {
   int num_shards = 8;
   // Batches between cross-shard free-capacity summary refreshes (>= 1).
-  // Smaller = fresher steal routing (better packing under imbalance), larger
-  // = less summary traffic. Never affects which requests are placeable.
+  // Smaller = fresher steal routing for worst and random fit (better packing
+  // under imbalance), larger = less summary traffic. Best fit steals by the
+  // shards' live tightest fit instead. Never affects which requests are
+  // placeable.
   int rebalance_interval = 8;
   PackingPolicy packing = PackingPolicy::kBestFit;
   PlacementEngine engine = PlacementEngine::kIndexed;
@@ -117,13 +123,20 @@ class ShardedScheduler {
     double max_free_summary = 0.0;  // as of the last rebalance
     // Batch scratch.
     std::vector<int> routed;         // request indices routed here, in order
-    std::vector<int> overflow;       // routed requests that missed locally
+    std::vector<int> overflow;       // routed requests passed to the steal phase
     std::vector<int> exclude_local;  // shard-local translated exclusions
   };
 
+  int HomeShard(const Request& request) const;
   // Translates the request's exclusions into `shard`'s local numbering,
   // places, and on success appends the global machine id to job_machines.
   int PlaceOnShard(Shard& shard, const Request& request);
+  // Steal phase under best fit: places on the shard whose tightest fit for
+  // the request is smallest (ties to the earlier shard).
+  int PlaceOnTightestShard(const Request& request);
+  // Steal phase under the other policies: the summary walk, then every
+  // shard not yet tried. `home` was tried by the shard phase.
+  int StealBySummaries(int home, const Request& request);
   void RefreshSummaries();
 
   ShardedSchedulerOptions options_;
@@ -133,6 +146,7 @@ class ShardedScheduler {
   std::vector<int> nonempty_;       // shard indices with count > 0
   std::vector<int> steal_order_;    // nonempty shards, richest summary first
   std::vector<uint8_t> tried_;      // per-request steal scratch, size S
+  std::vector<int> overflow_;       // every shard's overflow, in batch order
   int64_t stolen_placements_ = 0;
   int64_t batches_ = 0;
   int64_t rebalances_ = 0;

@@ -11,6 +11,7 @@
 #include <new>
 
 #include "crf/util/check.h"
+#include "crf/util/rss.h"
 
 namespace crf {
 namespace trace_internal {
@@ -99,28 +100,7 @@ int64_t TraceArena::ResidentBytes() const {
   if (!is_mapped()) {
     return static_cast<int64_t>(size);
   }
-  if (size == 0) {
-    return 0;
-  }
-  const uint64_t page = PageSize();
-  const uintptr_t begin = reinterpret_cast<uintptr_t>(bytes) & ~(page - 1);
-  const uintptr_t end = reinterpret_cast<uintptr_t>(bytes) + size;
-  const uint64_t num_pages = (end - begin + page - 1) / page;
-  std::vector<unsigned char> vec(std::min<uint64_t>(num_pages, 1u << 16));
-  int64_t resident_pages = 0;
-  uint64_t done = 0;
-  while (done < num_pages) {
-    const uint64_t chunk = std::min<uint64_t>(num_pages - done, vec.size());
-    if (::mincore(reinterpret_cast<void*>(begin + done * page), chunk * page, vec.data()) != 0) {
-      return static_cast<int64_t>(size);  // Conservative fallback.
-    }
-    for (uint64_t i = 0; i < chunk; ++i) {
-      resident_pages += vec[i] & 1;
-    }
-    done += chunk;
-  }
-  return std::min<int64_t>(resident_pages * static_cast<int64_t>(page),
-                           static_cast<int64_t>(size));
+  return std::min(ReadMappedRangeRssBytes(map_base, map_length), static_cast<int64_t>(size));
 }
 
 void TraceArena::PrefetchRange(uint64_t offset, uint64_t length) const {

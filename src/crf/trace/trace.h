@@ -130,9 +130,11 @@ struct TraceArena {
 
   bool is_mapped() const { return map_base != nullptr; }
 
-  // Estimated bytes of the arena currently resident in physical memory:
-  // an mincore page scan for mapped arenas, `size` for heap arenas (heap
-  // slabs are written in full when sealed, so they are fully resident).
+  // Bytes of the arena this process holds resident: the smaps Rss of the
+  // mapping for mapped arenas (capped at `size`; pages the page cache holds
+  // but this process never faulted in do not count), `size` for heap arenas
+  // (heap slabs are written in full when sealed, so they are fully
+  // resident).
   int64_t ResidentBytes() const;
 
   // Page-granular residency hints, no-ops on heap arenas. Offsets are

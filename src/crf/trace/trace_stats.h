@@ -69,9 +69,10 @@ struct TraceLayoutStats {
   int64_t peak_bytes = 0;
   int64_t rich_bytes = 0;
   // Load mode: true when the arena is an mmap of the trace file rather than
-  // a heap copy. resident_bytes is a point-in-time mincore estimate of how
-  // much of the mapped arena is physically present (== arena_bytes on heap
-  // loads, which are always fully resident).
+  // a heap copy. resident_bytes is how much of the mapped arena this process
+  // holds resident at this moment, its smaps Rss, however much of the file
+  // the page cache holds (== arena_bytes on heap loads, which are always
+  // fully resident).
   bool mapped = false;
   int64_t resident_bytes = 0;
 };

@@ -8,8 +8,6 @@
 namespace crf {
 namespace {
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 std::array<uint64_t, 4> SeedState(uint64_t seed) {
   std::array<uint64_t, 4> state;
   uint64_t sm = seed;
@@ -40,18 +38,6 @@ Rng Rng::Fork(uint64_t tag) const {
   (void)SplitMix64(mix);
   const uint64_t child_seed = SplitMix64(mix);
   return Rng(child_seed);
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformInt(uint64_t n) {

@@ -4,9 +4,17 @@
 // a root seed with Fork(tag), so that e.g. each simulated machine gets an
 // independent stream whose output does not depend on the order in which other
 // machines are simulated. The generator is xoshiro256++ seeded via SplitMix64
-// — fast, high quality, and fully reproducible across platforms (unlike
-// std::normal_distribution, whose output is implementation-defined; all
-// distributions here are implemented from scratch).
+// — fast and high quality. All distributions here are implemented from
+// scratch (std::normal_distribution's output is implementation-defined).
+//
+// Reproducibility across hosts: the raw stream (NextUint64, UniformInt,
+// UniformDouble, Uniform, Bernoulli) uses integer and correctly rounded IEEE
+// arithmetic only, so it is the same bytes everywhere. Normal, LogNormal,
+// Exponential, Poisson, BoundedPareto, Gamma, Beta and Geometric call libm
+// (log, cos, exp, pow), whose last bits may differ between libm versions.
+// The usage synthesizer, which draws almost all of a trace's random numbers,
+// takes its normals from ZigguratNormal (crf/util/portable_math.h) instead,
+// which is libm-free.
 
 #ifndef CRF_UTIL_RNG_H_
 #define CRF_UTIL_RNG_H_
@@ -28,8 +36,19 @@ class Rng {
   // with different tags are statistically independent.
   Rng Fork(uint64_t tag) const;
 
-  // Uniform on [0, 2^64).
-  uint64_t NextUint64();
+  // Uniform on [0, 2^64). Inline: the usage synthesizer's ziggurat draws
+  // one per normal on its fast path.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform on [0, n). Requires n > 0.
   uint64_t UniformInt(uint64_t n);
@@ -74,6 +93,8 @@ class Rng {
 
  private:
   Rng(uint64_t seed, std::array<uint64_t, 4> state);
+
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
   uint64_t seed_;
   std::array<uint64_t, 4> state_;

@@ -2,6 +2,7 @@
 
 #include <sys/resource.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -27,6 +28,39 @@ int64_t ReadStatusField(const char* field) {
   return kb * 1024;
 }
 
+// Sums the "Rss:" rows of every /proc/self/smaps mapping whose header line
+// `select(start, end, header, header_length)` accepts (trailing newline and
+// spaces stripped); 0 if smaps is unavailable.
+template <typename Select>
+int64_t SumSmapsRss(const Select& select) {
+  std::FILE* file = std::fopen("/proc/self/smaps", "r");
+  if (file == nullptr) {
+    return 0;
+  }
+  char line[512];
+  int64_t total = 0;
+  bool in_target = false;
+  while (std::fgets(line, sizeof(line), file) != nullptr) {
+    const char c = line[0];
+    const bool is_vma_header = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+    if (is_vma_header) {
+      size_t len = std::strlen(line);
+      while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == ' ')) {
+        line[--len] = '\0';
+      }
+      unsigned long start = 0;
+      unsigned long end = 0;
+      in_target = std::sscanf(line, "%lx-%lx", &start, &end) == 2 && select(start, end, line, len);
+    } else if (in_target && std::strncmp(line, "Rss:", 4) == 0) {
+      int64_t kb = 0;
+      std::sscanf(line + 4, "%ld", &kb);
+      total += kb * 1024;
+    }
+  }
+  std::fclose(file);
+  return total;
+}
+
 }  // namespace
 
 int64_t ReadPeakRssBytes() {
@@ -42,33 +76,19 @@ int64_t ReadPeakRssBytes() {
 }
 
 int64_t ReadMappedFileRssBytes(const std::string& path) {
-  std::FILE* file = std::fopen("/proc/self/smaps", "r");
-  if (file == nullptr) {
-    return 0;
-  }
-  char line[512];
-  int64_t total = 0;
-  bool in_target = false;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
-    const char c = line[0];
-    const bool is_vma_header = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-    if (is_vma_header) {
-      // "addr-addr perms offset dev inode      /path/to/file\n"
-      size_t len = std::strlen(line);
-      while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == ' ')) {
-        line[--len] = '\0';
-      }
-      in_target = len >= path.size() &&
-                  std::strcmp(line + len - path.size(), path.c_str()) == 0 &&
-                  (len == path.size() || line[len - path.size() - 1] == ' ');
-    } else if (in_target && std::strncmp(line, "Rss:", 4) == 0) {
-      int64_t kb = 0;
-      std::sscanf(line + 4, "%ld", &kb);
-      total += kb * 1024;
-    }
-  }
-  std::fclose(file);
-  return total;
+  return SumSmapsRss([&path](uintptr_t, uintptr_t, const char* header, size_t len) {
+    // "addr-addr perms offset dev inode      /path/to/file"
+    return len >= path.size() && std::strcmp(header + len - path.size(), path.c_str()) == 0 &&
+           (len == path.size() || header[len - path.size() - 1] == ' ');
+  });
+}
+
+int64_t ReadMappedRangeRssBytes(const void* begin, uint64_t length) {
+  const auto lo = reinterpret_cast<uintptr_t>(begin);
+  const uintptr_t hi = lo + length;
+  return SumSmapsRss([lo, hi](uintptr_t start, uintptr_t end, const char*, size_t) {
+    return start < hi && lo < end;
+  });
 }
 
 bool ResetPeakRss() {

@@ -33,6 +33,13 @@ bool ResetPeakRss();
 // deltas pick up unrelated allocator churn.
 int64_t ReadMappedFileRssBytes(const std::string& path);
 
+// Resident bytes (smaps "Rss:") of every mapping in this process that
+// overlaps [begin, begin + length): how much of a mapping this process has
+// faulted in, whatever the page cache holds. Whole mappings count, so a
+// range inside a larger mapping reports that mapping's residency. 0 if
+// nothing is mapped there or smaps is unavailable.
+int64_t ReadMappedRangeRssBytes(const void* begin, uint64_t length);
+
 }  // namespace crf
 
 #endif  // CRF_UTIL_RSS_H_

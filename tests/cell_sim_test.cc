@@ -101,18 +101,30 @@ TEST(CellSimTest, LimitSumPredictorNeverOvercommits) {
 }
 
 TEST(CellSimTest, OvercommittingPredictorPacksDenser) {
-  ClusterSimResult conservative =
-      RunClusterSim(SmallProfile(), ShortOptions(LimitSumSpec()), Rng(46));
-  ClusterSimResult overcommit =
-      RunClusterSim(SmallProfile(), ShortOptions(BorgDefaultSpec(0.8)), Rng(46));
-  const Interval last = conservative.trace.num_intervals - 1;
-  double conservative_alloc = 0.0;
-  double overcommit_alloc = 0.0;
-  for (int m = 0; m < conservative.limit_sum.num_machines(); ++m) {
-    conservative_alloc += conservative.limit_sum.at(m, last);
-    overcommit_alloc += overcommit.limit_sum.at(m, last);
+  // The allocation ratio of one interval of one seed swings by several
+  // percent with the usage stream, so average the post-warm-up ratio over a
+  // fixed set of seeds.
+  const ClusterSimOptions conservative_options = ShortOptions(LimitSumSpec());
+  const ClusterSimOptions overcommit_options = ShortOptions(BorgDefaultSpec(0.8));
+  const auto post_warmup_alloc = [](const ClusterSimResult& result, Interval warmup) {
+    double alloc = 0.0;
+    for (int m = 0; m < result.limit_sum.num_machines(); ++m) {
+      for (Interval t = warmup; t < result.trace.num_intervals; ++t) {
+        alloc += result.limit_sum.at(m, t);
+      }
+    }
+    return alloc;
+  };
+  constexpr int kSeeds = 10;
+  double ratio_sum = 0.0;
+  for (uint64_t seed = 40; seed < 40 + kSeeds; ++seed) {
+    const ClusterSimResult conservative =
+        RunClusterSim(SmallProfile(), conservative_options, Rng(seed));
+    const ClusterSimResult overcommit = RunClusterSim(SmallProfile(), overcommit_options, Rng(seed));
+    ratio_sum += post_warmup_alloc(overcommit, overcommit_options.warmup) /
+                 post_warmup_alloc(conservative, conservative_options.warmup);
   }
-  EXPECT_GT(overcommit_alloc, conservative_alloc * 1.05);
+  EXPECT_GT(ratio_sum / kSeeds, 1.05);
 }
 
 TEST(CellSimTest, DeterministicGivenSeed) {

@@ -26,6 +26,7 @@
 #include "crf/trace/generator.h"
 #include "crf/trace/trace.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/trace/trace_stats.h"
 #include "crf/util/rss.h"
 
 namespace crf {
@@ -335,6 +336,57 @@ TEST(MappedTraceTest, ResidencyAndPageHints) {
       EXPECT_EQ(ua[k], ub[k]);
     }
   }
+  std::remove(path.c_str());
+}
+
+// A mapped arena's resident bytes are what this process has faulted in,
+// not what the page cache holds: right after a trace is written and synced,
+// every page of it is cached, yet a mapped open has read only the metadata.
+TEST(MappedTraceTest, ResidentBytesCountThisProcessNotThePageCache) {
+  constexpr int kMachines = 16;
+  constexpr int kTasksPerMachine = 64;
+  constexpr Interval kIntervals = 2 * kIntervalsPerWeek;
+  CellTraceBuilder builder("warm", kIntervals, kMachines);
+  Rng rng(19);
+  TaskId id = 1;
+  for (int m = 0; m < kMachines; ++m) {
+    for (int k = 0; k < kTasksPerMachine; ++k, ++id) {
+      const int32_t index = builder.AddTask(id, id, m, 0, 0.05, SchedulingClass::kBatch);
+      builder.ReserveUsage(index, kIntervals);
+      for (Interval t = 0; t < kIntervals; ++t) {
+        builder.AppendUsage(index, static_cast<float>(0.05 * rng.UniformDouble()));
+      }
+    }
+  }
+  const std::string path = TempPath("warm.crftrace");
+  SaveCellTraceBinary(builder.Seal(), path);
+  const int fd = open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0) << path;
+  ASSERT_EQ(fsync(fd), 0);
+  close(fd);
+
+  std::string error;
+  const auto heap = LoadCellTrace(path, {TraceLoadMode::kHeap}, &error);
+  ASSERT_TRUE(heap.has_value()) << error;
+  const auto arena = static_cast<int64_t>(heap->arena_bytes().size());
+  EXPECT_EQ(heap->ResidentArenaBytes(), arena);
+  EXPECT_EQ(ComputeTraceLayoutStats(*heap).resident_bytes, arena);
+
+  const auto mapped = LoadMapped(path, &error);
+  ASSERT_TRUE(mapped.has_value()) << error;
+  EXPECT_GT(mapped->ResidentArenaBytes(), 0);
+  EXPECT_LE(mapped->ResidentArenaBytes(), arena / 4);
+  EXPECT_EQ(ComputeTraceLayoutStats(*mapped).resident_bytes, mapped->ResidentArenaBytes());
+
+  // Reading every usage sample faults the usage slab in.
+  double sum = 0.0;
+  for (int32_t i = 0; i < mapped->num_tasks(); ++i) {
+    for (const float u : mapped->task(i).usage()) {
+      sum += u;
+    }
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_GE(mapped->ResidentArenaBytes(), arena / 2);
   std::remove(path.c_str());
 }
 

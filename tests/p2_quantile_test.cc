@@ -26,10 +26,15 @@ TEST(P2QuantileTest, ExactForFewerThanFive) {
 }
 
 // Accuracy sweep across quantiles and distributions.
+// GoogleTest prints a parameter without operator<< as its raw bytes, and CTest
+// puts that print in the test name; the explicit zeroed tail leaves no
+// uninitialised padding, so the names do not change with stack contents.
 struct P2Case {
   double quantile;
   bool lognormal;
+  char zeroed_tail[7] = {};
 };
+static_assert(sizeof(P2Case) == sizeof(double) + sizeof(bool) + sizeof(P2Case::zeroed_tail));
 
 class P2AccuracyTest : public ::testing::TestWithParam<P2Case> {};
 

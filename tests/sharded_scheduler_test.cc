@@ -255,6 +255,26 @@ TEST(ShardedSchedulerTest, FreeCapacityAccountsForDebits) {
   EXPECT_DOUBLE_EQ(engine.TotalFreeCapacity(), 4.0);
 }
 
+// Under best fit, a request that only a few home machines can hold goes to
+// the cell's tightest fit instead of one of its home shard's last large
+// holes, and takes that large hole only when no shard fits it more tightly.
+TEST(ShardedSchedulerTest, BestFitSparesTheHomeShardsLastLargeHole) {
+  for (const PlacementEngine placement :
+       {PlacementEngine::kIndexed, PlacementEngine::kLinearScan}) {
+    SCOPED_TRACE(::testing::Message() << "engine=" << static_cast<int>(placement));
+    ShardedSchedulerOptions options = Options(2, nullptr);
+    options.engine = placement;
+    ShardedScheduler engine(options, Rng(12));
+    engine.Reset(8);  // machines 0-3 on shard 0, 4-7 on shard 1
+    engine.PublishAll(std::vector<double>{1.0, 0.0, 0.0, 0.0, 0.15, 0.0, 0.0, 0.0});
+    // Key 0 routes to shard 0, where only machine 0 fits.
+    EXPECT_EQ(engine.Place(0.1, nullptr, 0), 4);
+    EXPECT_EQ(engine.stolen_placements(), 1);
+    EXPECT_EQ(engine.Place(0.1, nullptr, 0), 0);
+    EXPECT_EQ(engine.stolen_placements(), 1);
+  }
+}
+
 // End-to-end: the cluster simulation in sharded mode is bit-identical at
 // any pool size for a fixed (seed, placement_shards) — the tentpole
 // determinism contract, checked at the consumer.

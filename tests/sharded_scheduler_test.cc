@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <span>
@@ -315,38 +316,61 @@ TEST(ShardedSchedulerClusterTest, ClusterSimShardedPoolSizeInvariance) {
 // tail, pending backlog and timeouts bounded against the global reference.
 // The second input is a 192-machine day split into 8 shards, large enough
 // that shard-local placement strands capacity the global scheduler would use.
+// Its pending backlog is heavy-tailed across seeds (one seed's ratio is
+// noise), so it is bounded once over eight consecutive seeds: the summed
+// sharded/global pending ratio. Over 20 disjoint eight-seed sets that ratio
+// read 0.69-1.46 with the current placer and 0.89-2.35 with a placer that
+// fragments the cell (EXPERIMENTS.md, "Sharded quality over seed sets").
 TEST(ShardedSchedulerClusterTest, ClusterSimShardedQualityNearGlobal) {
-  struct Input {
-    int machines;
-    Interval intervals;
-    Interval warmup;
-    int shards;
-    uint64_t seed;
+  struct Run {
+    ClusterSimResult global;
+    ClusterSimResult sharded;
   };
-  for (const Input& input :
-       {Input{24, 96, 24, 4, 31}, Input{192, kIntervalsPerDay, kIntervalsPerDay / 4, 8, 10}}) {
-    SCOPED_TRACE(::testing::Message() << input.machines << " machines, " << input.shards
-                                      << " shards");
+  const auto run = [](int machines, Interval intervals, Interval warmup, int shards,
+                      uint64_t seed) {
     CellProfile profile = SimCellProfile('a');
-    profile.num_machines = input.machines;
+    profile.num_machines = machines;
     ClusterSimOptions options;
-    options.num_intervals = input.intervals;
-    options.warmup = input.warmup;
+    options.num_intervals = intervals;
+    options.warmup = warmup;
     options.parallel = false;
-    const ClusterSimResult global = RunClusterSim(profile, options, Rng(input.seed));
-    options.placement_shards = input.shards;
-    const ClusterSimResult sharded = RunClusterSim(profile, options, Rng(input.seed));
-    const auto violation_p90 = [](const ClusterSimResult& result) {
-      return ComputeGroupMetrics(result.predictor_name, std::span(&result, 1))
-          .violation_rate.Quantile(0.9);
-    };
-    ASSERT_GT(global.tasks_placed, 0);
-    EXPECT_GE(sharded.tasks_placed, (global.tasks_placed * 97) / 100);
-    EXPECT_LE(sharded.tasks_placed, (global.tasks_placed * 105) / 100);
-    EXPECT_LE(violation_p90(sharded), violation_p90(global) + 0.02);
-    EXPECT_LE(sharded.pending_task_intervals, 2 * global.pending_task_intervals + 2000);
-    EXPECT_LE(sharded.tasks_timed_out, 2 * global.tasks_timed_out + 100);
+    Run result{RunClusterSim(profile, options, Rng(seed)), {}};
+    options.placement_shards = shards;
+    result.sharded = RunClusterSim(profile, options, Rng(seed));
+    return result;
+  };
+  const auto violation_p90 = [](const ClusterSimResult& result) {
+    return ComputeGroupMetrics(result.predictor_name, std::span(&result, 1))
+        .violation_rate.Quantile(0.9);
+  };
+  // Placed, violation-tail and timeout bounds hold per seed.
+  const auto expect_per_seed_quality = [&](const Run& r) {
+    ASSERT_GT(r.global.tasks_placed, 0);
+    EXPECT_GE(r.sharded.tasks_placed, (r.global.tasks_placed * 97) / 100);
+    EXPECT_LE(r.sharded.tasks_placed, (r.global.tasks_placed * 105) / 100);
+    EXPECT_LE(violation_p90(r.sharded), violation_p90(r.global) + 0.02);
+    EXPECT_LE(r.sharded.tasks_timed_out, 2 * r.global.tasks_timed_out + 100);
+  };
+
+  {
+    SCOPED_TRACE("24 machines, 4 shards");
+    const Run r = run(24, 96, 24, 4, 31);
+    expect_per_seed_quality(r);
+    EXPECT_LE(r.sharded.pending_task_intervals, 2 * r.global.pending_task_intervals + 2000);
   }
+
+  int64_t global_pending = 0;
+  int64_t sharded_pending = 0;
+  for (uint64_t seed = 8; seed < 16; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "192 machines, 8 shards, seed " << seed);
+    const Run r = run(192, kIntervalsPerDay, kIntervalsPerDay / 4, 8, seed);
+    expect_per_seed_quality(r);
+    global_pending += r.global.pending_task_intervals;
+    sharded_pending += r.sharded.pending_task_intervals;
+  }
+  ASSERT_GT(global_pending, 0);
+  EXPECT_LE(static_cast<double>(sharded_pending) / static_cast<double>(global_pending), 1.6)
+      << sharded_pending << " sharded vs " << global_pending << " global pending";
 }
 
 }  // namespace

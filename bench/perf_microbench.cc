@@ -16,6 +16,7 @@
 
 #include <array>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,17 +45,33 @@ std::vector<TaskSample> MakeTasks(int count, Rng& rng) {
   return tasks;
 }
 
-void BenchPredictorPoll(benchmark::State& state, const PredictorSpec& spec) {
+// One predictor poll per iteration over a fixed roster of range(0) tasks.
+// With `churn`, every poll also retires the task at a rotating position and
+// admits a new task with its limit, so the roster size stays constant.
+void BenchPredictorPoll(benchmark::State& state, const PredictorSpec& spec,
+                        bool churn = false) {
   Rng rng(1);
   auto predictor = CreatePredictor(spec);
   auto tasks = MakeTasks(static_cast<int>(state.range(0)), rng);
-  Interval now = 0;
+  TaskId next_id = static_cast<TaskId>(tasks.size()) + 1;
+  predictor->Observe(0, tasks, RosterDelta{.arrived = static_cast<int32_t>(tasks.size())});
+  Interval now = 1;
+  int32_t departed = 0;
   for (auto _ : state) {
+    RosterDelta delta;
+    if (churn) {
+      departed = (departed + 1) % static_cast<int32_t>(tasks.size());
+      TaskSample arrival = tasks[departed];
+      arrival.task_id = next_id++;
+      tasks.erase(tasks.begin() + departed);
+      tasks.push_back(arrival);
+      delta = RosterDelta{std::span(&departed, 1), 1};
+    }
     // Perturb usage so the history windows churn realistically.
     for (auto& task : tasks) {
       task.usage = task.limit * rng.UniformDouble();
     }
-    predictor->Observe(now++, tasks);
+    predictor->Observe(now++, tasks, delta);
     benchmark::DoNotOptimize(predictor->PredictPeak());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -71,6 +88,16 @@ BENCHMARK(BM_BorgDefaultPoll)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_RcLikePoll)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_NSigmaPoll)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_MaxPoll)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_RcLikePollChurn(benchmark::State& state) {
+  BenchPredictorPoll(state, RcLikeSpec(99.0), /*churn=*/true);
+}
+void BM_MaxPollChurn(benchmark::State& state) {
+  BenchPredictorPoll(state, ProductionMaxSpec(), /*churn=*/true);
+}
+
+BENCHMARK(BM_RcLikePollChurn)->Arg(16);
+BENCHMARK(BM_MaxPollChurn)->Arg(16);
 
 void BM_TaskHistoryPush(benchmark::State& state) {
   TaskHistory history(static_cast<int>(state.range(0)));

@@ -9,12 +9,17 @@
 // weighted moving average of machine usage plus a multiple of the EWMA of
 // absolute one-step errors (a cheap, O(1)-memory cousin of N-sigma), and
 // races it against the built-ins.
+//
+// Per-task state (here a warm-up counter) is kept in roster order: each
+// Observe names the roster change as a RosterDelta, and ApplyRosterDelta
+// drops the departed slots and appends fresh ones for the arrivals.
 
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
+#include "crf/core/roster_slots.h"
 #include "crf/sim/simulator.h"
 #include "crf/trace/generator.h"
 #include "crf/util/table.h"
@@ -28,24 +33,22 @@ class EwmaPredictor : public PeakPredictor {
   EwmaPredictor(double alpha, double headroom, Interval min_num_samples)
       : alpha_(alpha), headroom_(headroom), min_num_samples_(min_num_samples) {}
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override {
+  void Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override {
+    ApplyRosterDelta(samples_seen_, delta, tasks.size(), Interval{0});
     double warmed_usage = 0.0;
     double warming_limit = 0.0;
     double usage_now = 0.0;
     double limit_sum = 0.0;
-    for (const TaskSample& task : tasks) {
-      TaskState& state = tasks_[task.task_id];
-      ++state.samples;
-      state.last_seen = now;
-      usage_now += task.usage;
-      limit_sum += task.limit;
-      if (state.samples >= min_num_samples_) {
-        warmed_usage += task.usage;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      usage_now += tasks[i].usage;
+      limit_sum += tasks[i].limit;
+      if (++samples_seen_[i] >= min_num_samples_) {
+        warmed_usage += tasks[i].usage;
       } else {
-        warming_limit += task.limit;
+        warming_limit += tasks[i].limit;
       }
     }
-    std::erase_if(tasks_, [now](const auto& e) { return e.second.last_seen != now; });
 
     if (!initialized_) {
       ewma_ = warmed_usage;
@@ -62,7 +65,7 @@ class EwmaPredictor : public PeakPredictor {
   double PredictPeak() const override { return prediction_; }
 
   void Reset() override {
-    tasks_.clear();
+    samples_seen_.clear();
     initialized_ = false;
     ewma_ = 0.0;
     error_ewma_ = 0.0;
@@ -76,15 +79,10 @@ class EwmaPredictor : public PeakPredictor {
   }
 
  private:
-  struct TaskState {
-    Interval samples = 0;
-    Interval last_seen = -1;
-  };
-
   double alpha_;
   double headroom_;
   Interval min_num_samples_;
-  std::unordered_map<TaskId, TaskState> tasks_;
+  std::vector<Interval> samples_seen_;  // Per resident task, roster order.
   bool initialized_ = false;
   double ewma_ = 0.0;
   double error_ewma_ = 0.0;

@@ -27,7 +27,9 @@ int main() {
   for (Interval now = 0; now < 6 * kIntervalsPerHour; ++now) {
     tasks[0].usage = 0.30 * (0.4 + 0.2 * rng.UniformDouble());
     tasks[1].usage = 0.20 * (0.5 + 0.3 * rng.UniformDouble());
-    predictor->Observe(now, tasks);
+    // Each poll names the roster change since the last one: both tasks
+    // arrive at the first poll, and nothing changes after that.
+    predictor->Observe(now, tasks, RosterDelta{.arrived = now == 0 ? 2 : 0});
   }
   std::printf("predictor %s\n", predictor->name().c_str());
   std::printf("  sum of limits        : %.3f cores\n", 0.30 + 0.20);

@@ -35,15 +35,25 @@ void ClusterMachine::StartTask(CellTraceBuilder& trace, int32_t trace_index,
 
 ClusterMachine::StepStats ClusterMachine::Step(Interval now, double shared_load,
                                                CellTraceBuilder& trace) {
-  // Retire tasks whose lifetime ended.
-  for (size_t i = 0; i < tasks_.size();) {
-    if (tasks_[i].end <= now) {
-      tasks_[i] = std::move(tasks_.back());
-      tasks_.pop_back();
-    } else {
-      ++i;
+  // Retire tasks whose lifetime ended, in place and in order, recording the
+  // positions the predictor last saw them at.
+  departed_scratch_.clear();
+  size_t out = 0;
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    if (tasks_[i].end > now) {
+      if (out != i) {
+        tasks_[out] = std::move(tasks_[i]);
+      }
+      ++out;
+    } else if (i < observed_) {
+      departed_scratch_.push_back(static_cast<int32_t>(i));
     }
   }
+  tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(out), tasks_.end());
+  const RosterDelta delta{departed_scratch_,
+                          static_cast<int32_t>(tasks_.size() + departed_scratch_.size() -
+                                               observed_)};
+  observed_ = tasks_.size();
 
   StepStats stats;
   stats.resident_tasks = static_cast<int>(tasks_.size());
@@ -81,7 +91,7 @@ ClusterMachine::StepStats ClusterMachine::Step(Interval now, double shared_load,
 
   stats.latency = latency_model_.Sample(mean_demand, peak_demand, capacity_);
 
-  predictor_->Observe(now, samples_scratch_);
+  predictor_->Observe(now, samples_scratch_, delta);
   prediction_ = predictor_->PredictPeak();
   stats.prediction = prediction_;
   stats.free_capacity = FreeCapacity();

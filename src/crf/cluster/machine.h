@@ -44,8 +44,10 @@ class ClusterMachine {
     int resident_tasks = 0;
   };
 
-  // Advances one interval: retires tasks ending at `now`, generates usage,
-  // records it into `trace`, samples latency, and refreshes the prediction.
+  // Advances one interval: retires tasks ending at `now` (survivors keep
+  // their order, so the predictor sees the roster change as a RosterDelta),
+  // generates usage, records it into `trace`, samples latency, and
+  // refreshes the prediction.
   StepStats Step(Interval now, double shared_load, CellTraceBuilder& trace);
 
   double capacity() const { return capacity_; }
@@ -65,9 +67,13 @@ class ClusterMachine {
   std::unique_ptr<PeakPredictor> predictor_;
   LatencyModel latency_model_;
   Rng usage_rng_;
+  // Resident tasks in roster order: the first `observed_` were fed to the
+  // predictor at the last Step, the rest were started since.
   std::vector<RunningTask> tasks_;
+  size_t observed_ = 0;
   double prediction_ = 0.0;
   std::vector<TaskSample> samples_scratch_;
+  std::vector<int32_t> departed_scratch_;
 };
 
 }  // namespace crf

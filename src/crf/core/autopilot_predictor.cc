@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "crf/core/roster_slots.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
@@ -11,9 +12,6 @@ namespace crf {
 
 namespace {
 constexpr uint8_t kStateTag = 'A';
-// Upper bound on serialized tracked tasks: far above any real machine's
-// resident task count, small enough to reject a corrupted length early.
-constexpr uint64_t kMaxTrackedTasks = 1 << 20;
 }  // namespace
 
 AutopilotPredictor::AutopilotPredictor(double percentile, double margin,
@@ -26,35 +24,35 @@ AutopilotPredictor::AutopilotPredictor(double percentile, double margin,
   CRF_CHECK_GE(config.max_num_samples, config.min_num_samples);
 }
 
-void AutopilotPredictor::Observe(Interval now, std::span<const TaskSample> tasks) {
+void AutopilotPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                                 const RosterDelta& delta) {
+  ApplyRosterDelta(histories_, spare_, delta, tasks.size(), config_.max_num_samples);
+
   double prediction = 0.0;
   double usage_now = 0.0;
   double limit_sum = 0.0;
-  for (const TaskSample& sample : tasks) {
-    auto [it, inserted] =
-        tasks_.try_emplace(sample.task_id, TaskState{TaskHistory(config_.max_num_samples)});
-    TaskState& state = it->second;
-    state.history.Push(static_cast<float>(sample.usage));
-    state.last_seen = now;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    const TaskSample& sample = tasks[i];
+    TaskHistory& history = histories_[i];
+    history.Push(static_cast<float>(sample.usage));
 
     usage_now += sample.usage;
     limit_sum += sample.limit;
-    if (state.history.size() >= config_.min_num_samples) {
+    if (history.size() >= config_.min_num_samples) {
       // The Autopilot-style right-sized limit: a tail percentile with a
       // safety margin, never above the configured limit.
-      prediction += std::min(sample.limit, margin_ * state.history.Percentile(percentile_));
+      prediction += std::min(sample.limit, margin_ * history.Percentile(percentile_));
     } else {
       prediction += sample.limit;
     }
   }
-  std::erase_if(tasks_, [now](const auto& entry) { return entry.second.last_seen != now; });
   prediction_ = ClampPrediction(prediction, usage_now, limit_sum);
 }
 
 double AutopilotPredictor::PredictPeak() const { return prediction_; }
 
 void AutopilotPredictor::Reset() {
-  tasks_.clear();
+  ReleaseAllWindows(histories_, spare_);
   prediction_ = 0.0;
 }
 
@@ -66,52 +64,25 @@ std::string AutopilotPredictor::name() const {
 
 bool AutopilotPredictor::SaveState(ByteWriter& out) const {
   out.Write<uint8_t>(kStateTag);
-  // Emit entries sorted by task id: the map's bucket order is not
-  // deterministic across runs, and checkpoint bytes must be.
-  std::vector<TaskId> ids;
-  ids.reserve(tasks_.size());
-  for (const auto& [id, state] : tasks_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  out.Write<uint64_t>(ids.size());
-  for (const TaskId id : ids) {
-    const TaskState& state = tasks_.at(id);
-    out.Write<int64_t>(id);
-    out.Write<int32_t>(state.last_seen);
-    state.history.SaveState(out);
-  }
+  SaveWindows(histories_, out);
   out.Write<double>(prediction_);
   return true;
 }
 
-bool AutopilotPredictor::LoadState(ByteReader& in) {
-  const uint8_t tag = in.Read<uint8_t>();
-  const uint64_t count = in.Read<uint64_t>();
-  if (!in.ok() || tag != kStateTag || count > kMaxTrackedTasks) {
+bool AutopilotPredictor::LoadState(ByteReader& in, size_t roster_size) {
+  std::vector<TaskHistory> histories;
+  if (in.Read<uint8_t>() != kStateTag ||
+      !LoadWindows(in, roster_size, config_.max_num_samples, histories)) {
     in.Fail();
     return false;
-  }
-  std::unordered_map<TaskId, TaskState> tasks;
-  tasks.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const TaskId id = in.Read<int64_t>();
-    const Interval last_seen = in.Read<int32_t>();
-    TaskState state{TaskHistory(config_.max_num_samples), last_seen};
-    if (!state.history.LoadState(in)) {
-      return false;
-    }
-    if (last_seen < 0 || !tasks.emplace(id, std::move(state)).second) {
-      in.Fail();
-      return false;
-    }
   }
   const double prediction = in.Read<double>();
   if (!in.ok() || !std::isfinite(prediction) || prediction < 0.0) {
     in.Fail();
     return false;
   }
-  tasks_ = std::move(tasks);
+  histories_ = std::move(histories);
+  spare_.clear();
   prediction_ = prediction;
   return true;
 }

@@ -12,11 +12,15 @@
 // tight per-task ceilings still overestimates the machine peak. This
 // predictor makes that argument measurable — it sits between the RC-like
 // percentile sum (margin = 1) and the raw limit sum.
+//
+// Per-task state is RcLikePredictor's: one TaskHistory window per roster
+// slot, moved through each RosterDelta in place with departed windows
+// reused from a free list.
 
 #ifndef CRF_CORE_AUTOPILOT_PREDICTOR_H_
 #define CRF_CORE_AUTOPILOT_PREDICTOR_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "crf/core/predictor.h"
 #include "crf/core/task_history.h"
@@ -29,27 +33,26 @@ class AutopilotPredictor : public PeakPredictor {
   // percentile of recent usage with a ~10-15% safety margin.
   AutopilotPredictor(double percentile, double margin, const PredictorConfig& config);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double percentile() const { return percentile_; }
   double margin() const { return margin_; }
 
  private:
-  struct TaskState {
-    TaskHistory history;
-    Interval last_seen = -1;
-  };
-
   double percentile_;
   double margin_;
   PredictorConfig config_;
-  std::unordered_map<TaskId, TaskState> tasks_;
+  // One window per resident task, in roster order, and the cleared windows
+  // of departed tasks awaiting reuse.
+  std::vector<TaskHistory> histories_;
+  std::vector<TaskHistory> spare_;
   double prediction_ = 0.0;
 };
 

@@ -17,7 +17,8 @@ BorgDefaultPredictor::BorgDefaultPredictor(double phi) : phi_(phi) {
   CRF_CHECK_LE(phi, 1.0);
 }
 
-void BorgDefaultPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
+void BorgDefaultPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                                   const RosterDelta& /*delta*/) {
   limit_sum_ = 0.0;
   usage_now_ = 0.0;
   for (const TaskSample& task : tasks) {
@@ -43,7 +44,7 @@ bool BorgDefaultPredictor::SaveState(ByteWriter& out) const {
   return true;
 }
 
-bool BorgDefaultPredictor::LoadState(ByteReader& in) {
+bool BorgDefaultPredictor::LoadState(ByteReader& in, size_t /*roster_size*/) {
   const uint8_t tag = in.Read<uint8_t>();
   const double limit_sum = in.Read<double>();
   const double usage_now = in.Read<double>();

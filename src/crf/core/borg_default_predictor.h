@@ -17,13 +17,14 @@ class BorgDefaultPredictor : public PeakPredictor {
  public:
   explicit BorgDefaultPredictor(double phi = 0.9);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override { limit_sum_ = 0.0; usage_now_ = 0.0; }
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double phi() const { return phi_; }
 

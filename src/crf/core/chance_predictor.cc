@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
+#include "crf/core/roster_slots.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
@@ -11,9 +11,6 @@ namespace crf {
 
 namespace {
 constexpr uint8_t kStateTag = 'C';
-// Upper bound on a serialized roster: far above any real machine's resident
-// task count, small enough to reject a corrupted length before allocating.
-constexpr uint64_t kMaxRosterTasks = 1 << 20;
 }  // namespace
 
 ChancePredictor::ChancePredictor(double target, const PredictorConfig& config)
@@ -24,37 +21,9 @@ ChancePredictor::ChancePredictor(double target, const PredictorConfig& config)
   CRF_CHECK_GE(config.max_num_samples, config.min_num_samples);
 }
 
-void ChancePredictor::RebuildRoster(std::span<const TaskSample> tasks) {
-  // Carry warm-up progress over for tasks that survive the event; absent
-  // tasks have departed and their state is dropped (re-arrival of the same
-  // id starts a fresh warm-up, per the Observe contract).
-  std::unordered_map<TaskId, Interval> carried;
-  carried.reserve(roster_ids_.size());
-  for (size_t i = 0; i < roster_ids_.size(); ++i) {
-    carried.emplace(roster_ids_[i], samples_seen_[i]);
-  }
-  roster_ids_.resize(tasks.size());
-  samples_seen_.resize(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    roster_ids_[i] = tasks[i].task_id;
-    const auto it = carried.find(tasks[i].task_id);
-    samples_seen_[i] = it != carried.end() ? it->second : 0;
-  }
-}
-
-void ChancePredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
-  bool roster_matches = roster_ids_.size() == tasks.size();
-  if (roster_matches) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (roster_ids_[i] != tasks[i].task_id) {
-        roster_matches = false;
-        break;
-      }
-    }
-  }
-  if (!roster_matches) {
-    RebuildRoster(tasks);
-  }
+void ChancePredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                              const RosterDelta& delta) {
+  ApplyRosterDelta(samples_seen_, delta, tasks.size(), Interval{0});
 
   double warmed_usage = 0.0;
   double warming_limit = 0.0;
@@ -81,7 +50,6 @@ void ChancePredictor::Observe(Interval /*now*/, std::span<const TaskSample> task
 double ChancePredictor::PredictPeak() const { return prediction_; }
 
 void ChancePredictor::Reset() {
-  roster_ids_.clear();
   samples_seen_.clear();
   window_.Clear();
   prediction_ = 0.0;
@@ -95,19 +63,17 @@ std::string ChancePredictor::name() const {
 
 bool ChancePredictor::SaveState(ByteWriter& out) const {
   out.Write<uint8_t>(kStateTag);
-  out.WriteVec(roster_ids_);
   out.WriteVec(samples_seen_);
   window_.SaveState(out);
   out.Write<double>(prediction_);
   return true;
 }
 
-bool ChancePredictor::LoadState(ByteReader& in) {
+bool ChancePredictor::LoadState(ByteReader& in, size_t roster_size) {
   const uint8_t tag = in.Read<uint8_t>();
-  std::vector<TaskId> roster_ids;
   std::vector<Interval> samples_seen;
-  if (!in.ReadVec(roster_ids, kMaxRosterTasks) || !in.ReadVec(samples_seen, kMaxRosterTasks) ||
-      tag != kStateTag || samples_seen.size() != roster_ids.size()) {
+  if (!in.ReadVec(samples_seen, roster_size) || tag != kStateTag ||
+      samples_seen.size() != roster_size) {
     in.Fail();
     return false;
   }
@@ -125,7 +91,6 @@ bool ChancePredictor::LoadState(ByteReader& in) {
     in.Fail();
     return false;
   }
-  roster_ids_ = std::move(roster_ids);
   samples_seen_ = std::move(samples_seen);
   prediction_ = prediction;
   return true;

@@ -12,11 +12,10 @@
 // the other usage-driven families.
 //
 // Hot-path design mirrors NSigmaPredictor: per-task state is only the
-// warm-up counter, kept in a roster of parallel vectors in the caller's
-// sample order, revalidated with one id comparison per task and rebuilt only
-// on arrival/departure events. The machine-level empirical distribution
-// lives in one order-statistics window (TaskHistory), so each poll costs one
-// push plus one O(1) quantile selection.
+// warm-up counter per roster slot, moved through each RosterDelta in place.
+// The machine-level empirical distribution lives in one order-statistics
+// window (TaskHistory), so each poll costs one push plus one O(1) quantile
+// selection.
 
 #ifndef CRF_CORE_CHANCE_PREDICTOR_H_
 #define CRF_CORE_CHANCE_PREDICTOR_H_
@@ -34,24 +33,22 @@ class ChancePredictor : public PeakPredictor {
   // in (0, 1) exclusive.
   ChancePredictor(double target, const PredictorConfig& config);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double target() const { return target_; }
 
  private:
-  void RebuildRoster(std::span<const TaskSample> tasks);
-
   double target_;
   PredictorConfig config_;
 
-  // Resident task roster, parallel to the sample order of the last Observe.
-  std::vector<TaskId> roster_ids_;
+  // Warm-up counter per resident task, in roster order.
   std::vector<Interval> samples_seen_;
 
   // Machine-level aggregate usage of warmed tasks over the last

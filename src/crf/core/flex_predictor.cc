@@ -25,7 +25,8 @@ FlexPredictor::FlexPredictor(double percentile, double margin, const PredictorCo
   CRF_CHECK_GE(config.max_num_samples, config.min_num_samples);
 }
 
-void FlexPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
+void FlexPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                            const RosterDelta& /*delta*/) {
   double usage_now = 0.0;
   double limit_sum = 0.0;
   for (const TaskSample& sample : tasks) {
@@ -65,7 +66,7 @@ bool FlexPredictor::SaveState(ByteWriter& out) const {
   return true;
 }
 
-bool FlexPredictor::LoadState(ByteReader& in) {
+bool FlexPredictor::LoadState(ByteReader& in, size_t /*roster_size*/) {
   const uint8_t tag = in.Read<uint8_t>();
   if (!in.ok() || tag != kStateTag) {
     in.Fail();

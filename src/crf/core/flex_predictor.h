@@ -30,13 +30,14 @@ class FlexPredictor : public PeakPredictor {
   // `margin` >= 1 is the safety factor applied on top.
   FlexPredictor(double percentile, double margin, const PredictorConfig& config);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double percentile() const { return percentile_; }
   double margin() const { return margin_; }

@@ -10,7 +10,8 @@ namespace {
 constexpr uint8_t kStateTag = 'L';
 }  // namespace
 
-void LimitSumPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
+void LimitSumPredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                                const RosterDelta& /*delta*/) {
   limit_sum_ = 0.0;
   for (const TaskSample& task : tasks) {
     limit_sum_ += task.limit;
@@ -25,7 +26,7 @@ bool LimitSumPredictor::SaveState(ByteWriter& out) const {
   return true;
 }
 
-bool LimitSumPredictor::LoadState(ByteReader& in) {
+bool LimitSumPredictor::LoadState(ByteReader& in, size_t /*roster_size*/) {
   const uint8_t tag = in.Read<uint8_t>();
   const double limit_sum = in.Read<double>();
   if (!in.ok() || tag != kStateTag || !std::isfinite(limit_sum) || limit_sum < 0.0) {

@@ -13,13 +13,14 @@ namespace crf {
 
 class LimitSumPredictor : public PeakPredictor {
  public:
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override { limit_sum_ = 0.0; }
   std::string name() const override { return "limit-sum"; }
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
  private:
   double limit_sum_ = 0.0;

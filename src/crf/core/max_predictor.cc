@@ -19,9 +19,10 @@ MaxPredictor::MaxPredictor(std::vector<std::unique_ptr<PeakPredictor>> component
   }
 }
 
-void MaxPredictor::Observe(Interval now, std::span<const TaskSample> tasks) {
+void MaxPredictor::Observe(Interval now, std::span<const TaskSample> tasks,
+                           const RosterDelta& delta) {
   for (auto& component : components_) {
-    component->Observe(now, tasks);
+    component->Observe(now, tasks, delta);
   }
 }
 
@@ -50,7 +51,7 @@ bool MaxPredictor::SaveState(ByteWriter& out) const {
   return true;
 }
 
-bool MaxPredictor::LoadState(ByteReader& in) {
+bool MaxPredictor::LoadState(ByteReader& in, size_t roster_size) {
   const uint8_t tag = in.Read<uint8_t>();
   const uint64_t count = in.Read<uint64_t>();
   if (!in.ok() || tag != kStateTag || count != components_.size()) {
@@ -58,7 +59,7 @@ bool MaxPredictor::LoadState(ByteReader& in) {
     return false;
   }
   for (auto& component : components_) {
-    if (!component->LoadState(in)) {
+    if (!component->LoadState(in, roster_size)) {
       return false;
     }
   }

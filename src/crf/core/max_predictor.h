@@ -19,13 +19,14 @@ class MaxPredictor : public PeakPredictor {
   // Requires at least one component.
   explicit MaxPredictor(std::vector<std::unique_ptr<PeakPredictor>> components);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   const std::vector<std::unique_ptr<PeakPredictor>>& components() const { return components_; }
 

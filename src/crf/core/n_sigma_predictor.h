@@ -7,10 +7,9 @@
 // tasks still warming up contribute their limit on top. N = 2 approximates
 // the 95th percentile of the load distribution, N = 3 the 99th.
 //
-// Hot-path design: the resident task set only changes at arrival/departure
-// events, so per-task state lives in a roster (parallel vectors in the
-// caller's sample order) that is revalidated with one id comparison per task
-// and rebuilt only on events — no hashing on the steady-state path. The
+// Hot-path design: the only per-task state is a warm-up counter per roster
+// slot, in the caller's roster order; Observe moves it through the
+// RosterDelta in place (ApplyRosterDelta), so no poll hashes a task id. The
 // window statistics live in an AggregateWindow (ring buffer + running
 // sum/sum-of-squares with an exact Welford fallback), shared with the sweep
 // engine so both compute identical statistics.
@@ -29,24 +28,22 @@ class NSigmaPredictor : public PeakPredictor {
  public:
   NSigmaPredictor(double n, const PredictorConfig& config);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double n() const { return n_; }
 
  private:
-  void RebuildRoster(std::span<const TaskSample> tasks);
-
   double n_;
   PredictorConfig config_;
 
-  // Resident task roster, parallel to the sample order of the last Observe.
-  std::vector<TaskId> roster_ids_;
+  // Warm-up counter per resident task, in roster order.
   std::vector<Interval> samples_seen_;
 
   // Machine-level aggregate usage of warmed tasks over the last

@@ -12,7 +12,7 @@ double ClampPrediction(double raw, double usage_now, double limit_sum) {
 
 bool PeakPredictor::SaveState(ByteWriter& /*out*/) const { return false; }
 
-bool PeakPredictor::LoadState(ByteReader& in) {
+bool PeakPredictor::LoadState(ByteReader& in, size_t /*roster_size*/) {
   in.Fail();
   return false;
 }

@@ -19,6 +19,7 @@
 #ifndef CRF_CORE_PREDICTOR_H_
 #define CRF_CORE_PREDICTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,14 +51,30 @@ struct PredictorConfig {
   bool operator==(const PredictorConfig&) const = default;
 };
 
+// How the resident roster changed since the previous Observe. A task's
+// identity is its position in the roster, not its task id: `departed` lists
+// the positions, in the previous roster, of the tasks that left (strictly
+// ascending), the survivors keep their relative order, and the last
+// `arrived` entries of the new roster are the tasks that joined. A task that
+// departs and re-arrives in one tick is a departure plus an arrival, so its
+// warm-up restarts. Every producer (MachineRoster, OvercommitService,
+// ClusterMachine) already knows this change; predictors never reconcile ids.
+struct RosterDelta {
+  std::span<const int32_t> departed;
+  int32_t arrived = 0;
+};
+
 class PeakPredictor {
  public:
   virtual ~PeakPredictor() = default;
 
-  // Feeds the complete resident task set for interval `now`. Tasks absent
-  // from `tasks` have departed and their state must be released. Intervals
-  // are fed in increasing order.
-  virtual void Observe(Interval now, std::span<const TaskSample> tasks) = 0;
+  // Feeds the complete resident task set for interval `now`, in roster
+  // order, with the roster change since the previous Observe (the first
+  // Observe after construction or Reset sees every task as an arrival).
+  // Departed tasks' state must be released. Intervals are fed in increasing
+  // order.
+  virtual void Observe(Interval now, std::span<const TaskSample> tasks,
+                       const RosterDelta& delta) = 0;
 
   // The predicted future peak of the observed machine's aggregate usage,
   // based only on data seen so far. Must be callable any number of times
@@ -72,17 +89,19 @@ class PeakPredictor {
   virtual std::string name() const = 0;
 
   // Checkpoint support (crf/serve). SaveState serializes the COMPLETE
-  // observed state — rosters, history windows, running moments, the last
-  // published prediction — such that LoadState into a predictor constructed
-  // from the same spec resumes bit-identically to an uninterrupted run.
-  // Configuration is NOT serialized; it is re-derived from the spec, and
-  // LoadState validates structural fits (window capacities) against it.
-  // LoadState returns false and latches the reader's failure flag on any
-  // malformed or mismatched payload, leaving the predictor unspecified (the
-  // caller discards it). The default implementations return false: a
+  // observed state — per-task state in roster order, history windows,
+  // running moments, the last published prediction — such that LoadState
+  // into a predictor constructed from the same spec resumes bit-identically
+  // to an uninterrupted run. Configuration is NOT serialized; it is
+  // re-derived from the spec, and LoadState validates structural fits
+  // (window capacities) against it. `roster_size` is the restored roster's
+  // task count: a state that tracks per-task slots must track exactly that
+  // many. LoadState returns false and latches the reader's failure flag on
+  // any malformed or mismatched payload, leaving the predictor unspecified
+  // (the caller discards it). The default implementations return false: a
   // predictor without an override simply cannot be checkpointed.
   virtual bool SaveState(ByteWriter& out) const;
-  virtual bool LoadState(ByteReader& in);
+  virtual bool LoadState(ByteReader& in, size_t roster_size);
 };
 
 // Clamps a raw prediction to the sane range [usage_now, limit_sum]: the

@@ -2,9 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
-#include <utility>
 
+#include "crf/core/roster_slots.h"
 #include "crf/util/byte_io.h"
 #include "crf/util/check.h"
 
@@ -12,9 +11,6 @@ namespace crf {
 
 namespace {
 constexpr uint8_t kStateTag = 'R';
-// Upper bound on a serialized roster: far above any real machine's resident
-// task count, small enough to reject a corrupted length before allocating.
-constexpr uint64_t kMaxRosterTasks = 1 << 20;
 }  // namespace
 
 RcLikePredictor::RcLikePredictor(double percentile, const PredictorConfig& config)
@@ -25,45 +21,9 @@ RcLikePredictor::RcLikePredictor(double percentile, const PredictorConfig& confi
   CRF_CHECK_GE(config.max_num_samples, config.min_num_samples);
 }
 
-void RcLikePredictor::RebuildRoster(std::span<const TaskSample> tasks) {
-  // Carry surviving tasks' windows over by id; absent tasks have departed
-  // and their history is dropped (re-arrival of the same id starts a fresh
-  // warm-up, per the Observe contract).
-  std::unordered_map<TaskId, size_t> carried;
-  carried.reserve(roster_ids_.size());
-  for (size_t i = 0; i < roster_ids_.size(); ++i) {
-    carried.emplace(roster_ids_[i], i);
-  }
-  std::vector<TaskId> new_ids(tasks.size());
-  std::vector<TaskHistory> new_histories;
-  new_histories.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    new_ids[i] = tasks[i].task_id;
-    const auto it = carried.find(tasks[i].task_id);
-    if (it != carried.end()) {
-      new_histories.push_back(std::move(histories_[it->second]));
-      carried.erase(it);  // A duplicated id gets one carry, then fresh state.
-    } else {
-      new_histories.emplace_back(config_.max_num_samples);
-    }
-  }
-  roster_ids_ = std::move(new_ids);
-  histories_ = std::move(new_histories);
-}
-
-void RcLikePredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
-  bool roster_matches = roster_ids_.size() == tasks.size();
-  if (roster_matches) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (roster_ids_[i] != tasks[i].task_id) {
-        roster_matches = false;
-        break;
-      }
-    }
-  }
-  if (!roster_matches) {
-    RebuildRoster(tasks);
-  }
+void RcLikePredictor::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                              const RosterDelta& delta) {
+  ApplyRosterDelta(histories_, spare_, delta, tasks.size(), config_.max_num_samples);
 
   double prediction = 0.0;
   double usage_now = 0.0;
@@ -87,8 +47,7 @@ void RcLikePredictor::Observe(Interval /*now*/, std::span<const TaskSample> task
 double RcLikePredictor::PredictPeak() const { return prediction_; }
 
 void RcLikePredictor::Reset() {
-  roster_ids_.clear();
-  histories_.clear();
+  ReleaseAllWindows(histories_, spare_);
   prediction_ = 0.0;
 }
 
@@ -100,36 +59,25 @@ std::string RcLikePredictor::name() const {
 
 bool RcLikePredictor::SaveState(ByteWriter& out) const {
   out.Write<uint8_t>(kStateTag);
-  out.WriteVec(roster_ids_);
-  for (const TaskHistory& history : histories_) {
-    history.SaveState(out);
-  }
+  SaveWindows(histories_, out);
   out.Write<double>(prediction_);
   return true;
 }
 
-bool RcLikePredictor::LoadState(ByteReader& in) {
-  const uint8_t tag = in.Read<uint8_t>();
-  std::vector<TaskId> roster_ids;
-  if (!in.ReadVec(roster_ids, kMaxRosterTasks) || tag != kStateTag) {
+bool RcLikePredictor::LoadState(ByteReader& in, size_t roster_size) {
+  std::vector<TaskHistory> histories;
+  if (in.Read<uint8_t>() != kStateTag ||
+      !LoadWindows(in, roster_size, config_.max_num_samples, histories)) {
     in.Fail();
     return false;
-  }
-  std::vector<TaskHistory> histories;
-  histories.reserve(roster_ids.size());
-  for (size_t i = 0; i < roster_ids.size(); ++i) {
-    TaskHistory& history = histories.emplace_back(config_.max_num_samples);
-    if (!history.LoadState(in)) {
-      return false;
-    }
   }
   const double prediction = in.Read<double>();
   if (!in.ok() || !std::isfinite(prediction) || prediction < 0.0) {
     in.Fail();
     return false;
   }
-  roster_ids_ = std::move(roster_ids);
   histories_ = std::move(histories);
+  spare_.clear();
   prediction_ = prediction;
   return true;
 }

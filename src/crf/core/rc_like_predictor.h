@@ -5,12 +5,12 @@
 // usage, P(J, t) = sum_i perc_k(U_i). Tasks still warming up (fewer than
 // min_num_samples samples) contribute their limit instead.
 //
-// Hot-path design: like NSigmaPredictor, per-task state lives in a roster of
-// parallel vectors in the caller's sample order, revalidated with one id
-// comparison per task and rebuilt only on arrival/departure events —
-// steady-state polls never hash. Each roster slot owns the task's
-// TaskHistory percentile window; a rebuild carries surviving histories over
-// by id and drops departed ones (re-arrival restarts warm-up).
+// Hot-path design: per-task state is one TaskHistory percentile window per
+// roster slot, in the caller's roster order. Observe applies the RosterDelta
+// in place (ApplyRosterDelta): departed windows are cleared onto a free list
+// and arrivals reuse them, so a poll never hashes and, once the pool reaches
+// the machine's high-water roster, never allocates. A re-arrival is a fresh
+// slot, so it restarts warm-up.
 
 #ifndef CRF_CORE_RC_LIKE_PREDICTOR_H_
 #define CRF_CORE_RC_LIKE_PREDICTOR_H_
@@ -26,25 +26,25 @@ class RcLikePredictor : public PeakPredictor {
  public:
   RcLikePredictor(double percentile, const PredictorConfig& config);
 
-  void Observe(Interval now, std::span<const TaskSample> tasks) override;
+  void Observe(Interval now, std::span<const TaskSample> tasks,
+               const RosterDelta& delta) override;
   double PredictPeak() const override;
   void Reset() override;
   std::string name() const override;
 
   bool SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
+  bool LoadState(ByteReader& in, size_t roster_size) override;
 
   double percentile() const { return percentile_; }
 
  private:
-  void RebuildRoster(std::span<const TaskSample> tasks);
-
   double percentile_;
   PredictorConfig config_;
 
-  // Resident task roster, parallel to the sample order of the last Observe.
-  std::vector<TaskId> roster_ids_;
+  // One window per resident task, in roster order, and the cleared windows
+  // of departed tasks awaiting reuse.
   std::vector<TaskHistory> histories_;
+  std::vector<TaskHistory> spare_;
 
   double prediction_ = 0.0;
 };

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 #include <utility>
 
+#include "crf/core/roster_slots.h"
 #include "crf/util/check.h"
 
 namespace crf {
@@ -169,21 +169,14 @@ void SweepBank::Attach(const SweepPlan* plan) {
   node_values_.assign(plan->num_nodes(), 0.0);
   spec_predictions_.assign(plan->num_specs(), 0.0);
 
-  roster_ids_.clear();
   samples_seen_.clear();
 }
 
 void SweepBank::BeginMachine() {
   CRF_CHECK(plan_ != nullptr);
-  roster_ids_.clear();
   samples_seen_.clear();
   for (WindowGroupState& group : window_groups_) {
-    // Return every live window to the pool; Clear keeps their storage.
-    for (int32_t w : group.slot_window) {
-      group.windows[w].Clear();
-      group.free_list.push_back(w);
-    }
-    group.slot_window.clear();
+    ReleaseAllWindows(group.windows, group.spare);  // Clear keeps their storage.
   }
   for (AggregateWindow& window : agg_windows_) {
     window.Reset();
@@ -198,86 +191,13 @@ void SweepBank::BeginMachine() {
   std::fill(spec_predictions_.begin(), spec_predictions_.end(), 0.0);
 }
 
-int32_t SweepBank::AllocWindow(WindowGroupState& group, int capacity) {
-  if (!group.free_list.empty()) {
-    const int32_t w = group.free_list.back();
-    group.free_list.pop_back();
-    return w;  // Pooled windows are Clear()ed on release and share capacity.
-  }
-  group.windows.emplace_back(capacity);
-  return static_cast<int32_t>(group.windows.size()) - 1;
-}
-
-void SweepBank::RebuildRoster(std::span<const TaskSample> tasks) {
-  // Carry surviving tasks' state over by id; departed tasks' windows return
-  // to the pool and their warm-up progress is dropped (re-arrival of the
-  // same id restarts warm-up, matching the standalone predictors).
-  std::unordered_map<TaskId, size_t> carried;
-  carried.reserve(roster_ids_.size());
-  for (size_t i = 0; i < roster_ids_.size(); ++i) {
-    carried.emplace(roster_ids_[i], i);
-  }
-
-  rebuild_ids_.resize(tasks.size());
-  rebuild_seen_.resize(tasks.size());
-  rebuild_slots_.resize(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    rebuild_ids_[i] = tasks[i].task_id;
-    const auto it = carried.find(tasks[i].task_id);
-    if (it != carried.end()) {
-      rebuild_seen_[i] = samples_seen_[it->second];
-      rebuild_slots_[i] = static_cast<int32_t>(it->second);
-      carried.erase(it);  // A duplicated id gets one carry, then fresh state.
-    } else {
-      rebuild_seen_[i] = 0;
-      rebuild_slots_[i] = -1;
-    }
-  }
-
-  rebuild_slot_carried_.assign(roster_ids_.size(), 0);
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    if (rebuild_slots_[i] >= 0) {
-      rebuild_slot_carried_[rebuild_slots_[i]] = 1;
-    }
-  }
-
-  for (size_t g = 0; g < window_groups_.size(); ++g) {
-    WindowGroupState& group = window_groups_[g];
-    const int capacity = plan_->window_groups()[g].capacity;
-    // Departed slots release their windows first so a same-interval
-    // departure+arrival reuses the freed storage.
-    for (size_t s = 0; s < group.slot_window.size(); ++s) {
-      if (!rebuild_slot_carried_[s]) {
-        group.windows[group.slot_window[s]].Clear();
-        group.free_list.push_back(group.slot_window[s]);
-      }
-    }
-    std::vector<int32_t> new_slot_window(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      new_slot_window[i] = rebuild_slots_[i] >= 0 ? group.slot_window[rebuild_slots_[i]]
-                                                  : AllocWindow(group, capacity);
-    }
-    group.slot_window = std::move(new_slot_window);
-  }
-
-  roster_ids_ = rebuild_ids_;
-  samples_seen_ = rebuild_seen_;
-}
-
-void SweepBank::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
+void SweepBank::Observe(Interval /*now*/, std::span<const TaskSample> tasks,
+                        const RosterDelta& delta) {
   CRF_CHECK(plan_ != nullptr);
-
-  bool roster_matches = roster_ids_.size() == tasks.size();
-  if (roster_matches) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (roster_ids_[i] != tasks[i].task_id) {
-        roster_matches = false;
-        break;
-      }
-    }
-  }
-  if (!roster_matches) {
-    RebuildRoster(tasks);
+  ApplyRosterDelta(samples_seen_, delta, tasks.size(), Interval{0});
+  for (size_t g = 0; g < window_groups_.size(); ++g) {
+    ApplyRosterDelta(window_groups_[g].windows, window_groups_[g].spare, delta, tasks.size(),
+                     plan_->window_groups()[g].capacity);
   }
 
   const std::vector<SweepPlan::Node>& nodes = plan_->nodes();
@@ -301,7 +221,7 @@ void SweepBank::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
     // One window push per distinct history length serves every percentile
     // query against that window.
     for (WindowGroupState& group : window_groups_) {
-      group.windows[group.slot_window[i]].Push(static_cast<float>(sample.usage));
+      group.windows[i].Push(static_cast<float>(sample.usage));
     }
 
     for (const int n : per_task_nodes_) {
@@ -309,8 +229,8 @@ void SweepBank::Observe(Interval /*now*/, std::span<const TaskSample> tasks) {
       // size() >= min ⟺ seen >= min: the window holds min(seen, capacity)
       // samples and min_num_samples <= capacity by construction.
       if (seen >= node.min_num_samples) {
-        const WindowGroupState& group = window_groups_[node.window_group];
-        const double percentile = group.windows[group.slot_window[i]].Percentile(node.percentile);
+        const double percentile =
+            window_groups_[node.window_group].windows[i].Percentile(node.percentile);
         node_values_[n] += node.type == PredictorSpec::Type::kAutopilot
                                ? std::min(sample.limit, node.margin * percentile)
                                : percentile;

@@ -124,8 +124,10 @@ class SweepPlan {
 };
 
 // Mutable per-thread execution state for one SweepPlan. Reusable across
-// machines (BeginMachine) and across plans (Attach); window objects are
-// pooled through a free list so steady-state churn allocates nothing once
+// machines (BeginMachine) and across plans (Attach). Per-task state (the
+// warm-up counter and one window per history length) is kept in roster
+// order and moved through each RosterDelta in place (ApplyRosterDelta);
+// departed windows go to a free list, so churn allocates nothing once
 // buffers reach their high-water size.
 class SweepBank {
  public:
@@ -139,10 +141,10 @@ class SweepBank {
   // first Observe of each machine.
   void BeginMachine();
 
-  // Ingests the complete resident task set for interval `now` and evaluates
-  // every node. Intervals are fed in increasing order, one machine at a
-  // time, exactly like PeakPredictor::Observe.
-  void Observe(Interval now, std::span<const TaskSample> tasks);
+  // Ingests the complete resident task set for interval `now` with its
+  // roster change and evaluates every node. Intervals are fed in increasing
+  // order, one machine at a time, exactly like PeakPredictor::Observe.
+  void Observe(Interval now, std::span<const TaskSample> tasks, const RosterDelta& delta);
 
   // One prediction per input spec (plan order), for the last Observe.
   std::span<const double> Predictions() const { return spec_predictions_; }
@@ -151,20 +153,15 @@ class SweepBank {
 
  private:
   struct WindowGroupState {
-    // Pool of windows; slot_window maps roster slots to pool indices.
+    // One window per resident task, in roster order, and the cleared
+    // windows of departed tasks awaiting reuse.
     std::vector<IndexableWindow> windows;
-    std::vector<int32_t> slot_window;
-    std::vector<int32_t> free_list;
+    std::vector<IndexableWindow> spare;
   };
-
-  void RebuildRoster(std::span<const TaskSample> tasks);
-  int32_t AllocWindow(WindowGroupState& group, int capacity);
 
   const SweepPlan* plan_ = nullptr;
 
-  // Resident task roster, parallel to the sample order of the last Observe.
-  // samples_seen_ is the universal warm-up counter shared by every group.
-  std::vector<TaskId> roster_ids_;
+  // The universal warm-up counter shared by every group, in roster order.
   std::vector<Interval> samples_seen_;
 
   std::vector<WindowGroupState> window_groups_;
@@ -190,12 +187,6 @@ class SweepBank {
 
   std::vector<double> node_values_;
   std::vector<double> spec_predictions_;
-
-  // Rebuild scratch, reused across events.
-  std::vector<TaskId> rebuild_ids_;
-  std::vector<Interval> rebuild_seen_;
-  std::vector<int32_t> rebuild_slots_;
-  std::vector<uint8_t> rebuild_slot_carried_;
 };
 
 }  // namespace crf

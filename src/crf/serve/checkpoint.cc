@@ -12,10 +12,11 @@ namespace crf {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'R', 'F', 'C', 'K', 'P', 'T', '1'};
-// Version 3: a usage window's state is its ring, running sum and refresh
-// countdown; the value-ordered view is rebuilt on load. Files of any other
+// Version 4: predictor states keep per-task slots in roster order and carry
+// no task ids (a usage window's state is its ring, running sum and refresh
+// countdown; the value-ordered view is rebuilt on load). Files of any other
 // version are rejected with a clear error rather than misparsed.
-constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersion = 4;
 constexpr uint64_t kMaxNameLength = 4096;
 constexpr uint64_t kMaxSpecLength = 1 << 20;
 constexpr uint64_t kMaxPayloadLength = uint64_t{1} << 40;

@@ -111,13 +111,14 @@ bool OvercommitService::IngestTick(int machine, Interval tau,
   }
 
   // Apply. 1. Departures: subtract limits in event order (the batch engine's
-  // departure-time order), then compact the roster preserving order. The
-  // survivors are exactly the leading samples, in roster order, and roster
-  // entries are unique, so one pass keeps an entry iff it is the next
-  // unmatched survivor.
+  // departure-time order), then compact the roster preserving order,
+  // recording the departed positions. The survivors are exactly the leading
+  // samples, in roster order, and roster entries are unique, so one pass
+  // keeps an entry iff it is the next unmatched survivor.
   for (size_t k = 0; k < d; ++k) {
     state.limit_sum -= events[k].limit;
   }
+  state.departed_positions.clear();
   if (d > 0) {
     const size_t survivors_end = a + state.roster_index.size() - d;
     size_t out = 0;
@@ -128,6 +129,8 @@ bool OvercommitService::IngestTick(int machine, Interval tau,
         state.roster[out] = state.roster[r];
         ++out;
         ++sample;
+      } else {
+        state.departed_positions.push_back(static_cast<int32_t>(r));
       }
     }
     state.roster_index.resize(out);
@@ -150,7 +153,8 @@ bool OvercommitService::IngestTick(int machine, Interval tau,
     state.roster[k - a].usage = events[k].usage;
   }
 
-  state.predictor->Observe(tau, state.roster);
+  state.predictor->Observe(tau, state.roster,
+                           RosterDelta{state.departed_positions, static_cast<int32_t>(a - d)});
   state.last_prediction = state.predictor->PredictPeak();
   state.last_tick = tau;
   return true;
@@ -188,7 +192,7 @@ bool OvercommitService::LoadMachine(int machine, ByteReader& in) {
       return false;
     }
   }
-  if (!state.predictor->LoadState(in)) {
+  if (!state.predictor->LoadState(in, roster.size())) {
     return false;
   }
   state.last_tick = last_tick;

@@ -5,9 +5,9 @@
 // mirroring the batch engine's MachineRoster, and the incrementally
 // maintained limit sum. IngestTick applies one machine's events for one
 // interval — departures, arrivals, then usage samples in roster order — and
-// runs one Observe/PredictPeak round, in exactly the arithmetic order of the
-// batch engine's tick loop, so the published prediction stream is
-// bit-identical to the batch engine's.
+// runs one Observe/PredictPeak round with the roster change it applied, in
+// exactly the arithmetic order of the batch engine's tick loop, so the
+// published prediction stream is bit-identical to the batch engine's.
 //
 // IngestTick is the one validator of ingested batches: every producer —
 // the in-process replayer and the network tier alike — hands it raw
@@ -89,6 +89,8 @@ class OvercommitService {
     // Validation scratch: the batch's departure then arrival task indices,
     // each run sorted (reused, zero steady-state allocations).
     std::vector<int32_t> sorted_events;
+    // The last tick's departed roster positions (the RosterDelta).
+    std::vector<int32_t> departed_positions;
   };
 
   PredictorSpec spec_;

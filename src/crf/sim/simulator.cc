@@ -42,8 +42,8 @@ struct PredictorObserver {
   PeakPredictor& predictor;
   double prediction = 0.0;
 
-  void Observe(Interval tau, std::span<const TaskSample> samples) {
-    predictor.Observe(tau, samples);
+  void Observe(Interval tau, std::span<const TaskSample> samples, const RosterDelta& delta) {
+    predictor.Observe(tau, samples, delta);
     prediction = predictor.PredictPeak();
   }
   std::span<const double> Predictions() const { return {&prediction, 1}; }
@@ -51,7 +51,8 @@ struct PredictorObserver {
 
 // The one per-machine tick loop of the batch engines. The workspace's
 // MachineRoster keeps the resident set and its limit sum; each tick the
-// resident samples go to `observer` (a PeakPredictor or a SweepBank), and
+// resident samples and the roster change go to `observer` (a PeakPredictor
+// or a SweepBank), and
 // each of its `num_series` predictions is scored by one RiskAccumulator and,
 // when `cell_predictions` is non-empty, summed into cell_predictions[s].
 // Returns the machine's accumulators (workspace-owned, valid until the
@@ -85,7 +86,9 @@ std::span<const RiskAccumulator> RunMachine(const CellTrace& cell, int machine_i
       samples.push_back({cols.id[index], cols.UsageAt(index, tau), cols.limit[index]});
     }
 
-    observer.Observe(tau, samples);
+    observer.Observe(tau, samples,
+                     RosterDelta{roster.departed_positions(),
+                                 static_cast<int32_t>(roster.arrived().size())});
     const std::span<const double> predictions = observer.Predictions();
     const double limit_sum = roster.limit_sum();
     const bool occupied = !roster.active().empty();

@@ -27,10 +27,17 @@ void MachineRoster::Advance(Interval tau) {
     limit_sum_ -= cols.limit[departures_[next_departure_++]];
   }
   // Event-driven: the compaction scan runs only on ticks with a departure.
+  departed_positions_.clear();
   if (next_departure_ != first_departed_) {
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [&cols, tau](int32_t i) { return cols.DepartureTime(i) <= tau; }),
-                  active_.end());
+    size_t out = 0;
+    for (size_t i = 0; i < active_.size(); ++i) {
+      if (cols.DepartureTime(active_[i]) <= tau) {
+        departed_positions_.push_back(static_cast<int32_t>(i));
+      } else {
+        active_[out++] = active_[i];
+      }
+    }
+    active_.resize(out);
   }
   first_arrived_ = next_arrival_;
   while (next_arrival_ < arrivals_.size() && cols.start[arrivals_[next_arrival_]] <= tau) {
@@ -67,6 +74,7 @@ void MachineRoster::Seek(Interval tick) {
   }
   first_departed_ = next_departure_;
   first_arrived_ = next_arrival_;
+  departed_positions_.clear();
 }
 
 }  // namespace crf

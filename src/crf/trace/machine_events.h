@@ -68,10 +68,11 @@ class MachineRoster {
 
   // Applies tick `tau` (strictly after the previous one): subtracts the
   // limits of tasks departing at or before `tau` in departure order,
-  // compacts them out of active() preserving the survivors' order, appends
-  // arrivals starting at or before `tau` in start order while adding their
-  // limits, and resets the limit sum to exactly 0 when the roster empties
-  // (killing incremental drift).
+  // compacts them out of active() preserving the survivors' order (recording
+  // their former positions in departed_positions()), appends arrivals
+  // starting at or before `tau` in start order while adding their limits,
+  // and resets the limit sum to exactly 0 when the roster empties (killing
+  // incremental drift).
   void Advance(Interval tau);
 
   // Repositions the roster as if ticks [0, tick) had been advanced one at a
@@ -87,6 +88,10 @@ class MachineRoster {
   std::span<const int32_t> arrived() const {
     return std::span(arrivals_).subspan(first_arrived_, next_arrival_ - first_arrived_);
   }
+  // The positions the last Advance's departures held in the previous
+  // active() list, ascending: with arrived().size(), the RosterDelta a
+  // predictor observes (crf/core/predictor.h).
+  std::span<const int32_t> departed_positions() const { return departed_positions_; }
   // Resident task indices in roster order: arrival order, departed tasks
   // compacted out.
   const std::vector<int32_t>& active() const { return active_; }
@@ -97,6 +102,7 @@ class MachineRoster {
   std::vector<int32_t> arrivals_;
   std::vector<int32_t> departures_;
   std::vector<int32_t> active_;
+  std::vector<int32_t> departed_positions_;
   size_t next_arrival_ = 0;
   size_t next_departure_ = 0;
   size_t first_arrived_ = 0;

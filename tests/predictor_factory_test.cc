@@ -47,7 +47,7 @@ TEST(PredictorFactoryTest, FreshInstancesAreIndependent) {
   auto a = CreatePredictor(spec);
   auto b = CreatePredictor(spec);
   std::vector<TaskSample> tasks{{1, 0.5, 1.0}};
-  a->Observe(0, tasks);
+  a->Observe(0, tasks, RosterDelta{.arrived = 1});
   // b saw nothing; its prediction must be unaffected by a's state.
   EXPECT_DOUBLE_EQ(b->PredictPeak(), 0.0);
   EXPECT_GT(a->PredictPeak(), 0.0);

@@ -18,6 +18,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/trace/trace_builder.h"
 #include "crf/util/rng.h"
+#include "reference_roster.h"
 
 namespace crf {
 namespace {
@@ -88,6 +89,9 @@ MachineMetrics NaiveSimulateMachine(const CellTrace& cell, int machine_index,
           : BruteForcePeakOracle(cell, machine_index, options.horizon);
 
   auto predictor = CreatePredictor(spec);
+  // The reference derives each tick's roster change by matching task ids,
+  // independently of the engine's MachineRoster.
+  IdKeyedFeed feed(*predictor);
 
   const std::span<const int32_t> machine_tasks = cell.machine_tasks(machine_index);
   std::vector<int32_t> order(machine_tasks.begin(), machine_tasks.end());
@@ -118,7 +122,7 @@ MachineMetrics NaiveSimulateMachine(const CellTrace& cell, int machine_index,
       }
     }
 
-    predictor->Observe(tau, samples);
+    feed.Observe(tau, samples);
     const double prediction = predictor->PredictPeak();
     const double oracle_value = oracle[tau];
 

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "crf/core/predictor_factory.h"
 #include "crf/serve/replay.h"
 #include "crf/trace/trace_builder.h"
+#include "crf/util/byte_io.h"
 #include "crf/util/rng.h"
 
 namespace crf {
@@ -269,6 +273,64 @@ TEST(StreamCheckpointCorruptionTest, NewFamilyPayloadDamageIsRejected) {
   }
 }
 
+// A checkpoint whose checksum is intact but whose predictor state tracks a
+// different number of tasks than the machine's restored roster is refused at
+// load, not left to CHECK-abort at the next Observe.
+TEST(StreamCheckpointCorruptionTest, PredictorStateRosterSizeMismatchIsRejected) {
+  CheckpointFixture fixture;  // n-sigma: its state is a warm-up counter per task.
+  StreamReplayer replayer(fixture.cell, fixture.spec, fixture.options);
+  replayer.Advance(fixture.cell.num_intervals / 2);
+  const OvercommitService& service = replayer.service();
+  int machine = 0;
+  while (machine < service.num_machines() && service.Roster(machine).empty()) {
+    ++machine;
+  }
+  ASSERT_LT(machine, service.num_machines());
+  ByteWriter saved;
+  service.SaveMachine(machine, saved);
+  const std::vector<uint8_t>& blob = saved.bytes();
+
+  // Header (64 bytes), trace name, spec, then the payload, which holds the
+  // machine's SaveMachine bytes verbatim.
+  std::vector<uint8_t> bytes = fixture.bytes;
+  const auto found = std::search(bytes.begin() + 64, bytes.end(), blob.begin(), blob.end());
+  ASSERT_NE(found, bytes.end());
+  // SaveMachine: last tick, limit sum, last prediction, the roster's task
+  // indices and samples (each a u64 count plus elements), then the
+  // predictor state: tag 'N' and the per-task counters (u64 count + i32s).
+  const size_t roster = service.Roster(machine).size();
+  const size_t predictor_offset = 4 + 8 + 8 + (8 + 4 * roster) + (8 + sizeof(TaskSample) * roster);
+  ASSERT_EQ(blob[predictor_offset], 'N');
+  const auto count_at = found + static_cast<std::ptrdiff_t>(predictor_offset + 1);
+  uint64_t count = 0;
+  std::memcpy(&count, &*count_at, sizeof(count));
+  ASSERT_EQ(count, roster);
+  // Drop the last counter: the state now tracks one task fewer.
+  --count;
+  std::memcpy(&*count_at, &count, sizeof(count));
+  bytes.erase(count_at + 8 + static_cast<std::ptrdiff_t>(4 * count),
+              count_at + 8 + static_cast<std::ptrdiff_t>(4 * count + 4));
+
+  // Re-seal: shrink the payload length and recompute its checksum.
+  uint32_t name_length = 0;
+  uint32_t spec_length = 0;
+  uint64_t payload_bytes = 0;
+  std::memcpy(&name_length, bytes.data() + 32, sizeof(name_length));
+  std::memcpy(&spec_length, bytes.data() + 36, sizeof(spec_length));
+  std::memcpy(&payload_bytes, bytes.data() + 40, sizeof(payload_bytes));
+  payload_bytes -= 4;
+  const size_t payload_offset = 64 + name_length + spec_length;
+  ASSERT_EQ(payload_offset + payload_bytes, bytes.size());
+  const uint64_t hash = Fnv1a64(std::span(bytes).subspan(payload_offset));
+  std::memcpy(bytes.data() + 40, &payload_bytes, sizeof(payload_bytes));
+  std::memcpy(bytes.data() + 48, &hash, sizeof(hash));
+
+  WriteAll(fixture.path, bytes);
+  std::string error;
+  EXPECT_EQ(LoadCheckpoint(fixture.path, fixture.cell, fixture.options, &error), nullptr);
+  EXPECT_NE(error.find("structurally invalid"), std::string::npos) << error;
+}
+
 TEST(StreamCheckpointCorruptionTest, GarbageAndEmptyFilesAreRejected) {
   CheckpointFixture fixture;
   fixture.ExpectRejected({}, "empty file");
@@ -296,7 +358,7 @@ TEST(StreamCheckpointMismatchTest, WrongShardCountIsRejectedWithHint) {
 TEST(StreamCheckpointMismatchTest, OldVersionIsRejected) {
   CheckpointFixture fixture;
   // The header version is a little-endian u32 at offset 8 (after the magic).
-  for (const int version : {1, 2}) {
+  for (const int version : {1, 2, 3}) {
     std::vector<uint8_t> old_version = fixture.bytes;
     old_version[8] = static_cast<uint8_t>(version);
     WriteAll(fixture.path, old_version);
@@ -320,7 +382,7 @@ TEST(StreamCheckpointInfoTest, HeaderInspectionReportsIdentity) {
   CheckpointInfo info;
   std::string error;
   ASSERT_TRUE(ReadCheckpointInfo(fixture.path, &info, &error)) << error;
-  EXPECT_EQ(info.version, 3u);
+  EXPECT_EQ(info.version, 4u);
   EXPECT_EQ(info.trace_name, fixture.cell.name);
   EXPECT_EQ(info.num_machines, fixture.cell.num_machines());
   EXPECT_EQ(info.num_intervals, fixture.cell.num_intervals);
